@@ -3,9 +3,18 @@
 For two models run on the same tokens, each (self-attention sublayer, token)
 pair yields a head-to-head cost matrix of 1-Wasserstein distances between
 attention distributions; a minimum-cost head matching gives the distance for
-that token and layer, and the grand mean averages over all of them. Totals
-are accumulated with ``math.fsum`` so results do not depend on summation
-order (distance(A, B) == distance(B, A) bit-for-bit).
+that token and layer, and the grand mean averages over all of them. Each
+cell's minimum comes from one shortest-augmenting-path assignment solve; a
+model's distance to itself is 0 without solving, since its cost matrices
+have a zero diagonal and no negative entry.
+
+Symmetry is exact by construction: negating a float is exact, so the costs
+of (B, A) are bitwise the transposes of those of (A, B). Each cell is solved
+in a canonical orientation, its transpose when the first entry (row-major)
+where the two differ is smaller there and the matrix as built otherwise, so
+both orders solve the same matrix and ``distance(A, B) == distance(B, A)``
+bit-for-bit. Totals are accumulated with ``math.fsum`` so they do not depend
+on summation order.
 """
 
 from __future__ import annotations
@@ -118,32 +127,58 @@ def save_dump(dump: AttentionDump, path) -> None:
                     )
 
 
+def _header_field(header: dict, key: str, kind: type):
+    value = header.get(key)
+    if type(value) is not kind:  # exact type: JSON true is not the integer 1
+        raise ValueError(f"dump header: {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_dump(path) -> AttentionDump:
+    """Read a dump written by :func:`save_dump`.
+
+    Raises ``ValueError`` for anything but a complete, consistent dump: a
+    missing or mistyped header field, an index outside the header's shape, a
+    (layer, head, token) vector given twice or not at all, or a vector of the
+    wrong length.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"empty dump file: {path}")
     header = json.loads(lines[0])
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("dump file must start with a header line")
     if header.get("v") != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {header.get('v')}")
-    probs = np.zeros((header["s_count"], header["heads"], header["t"], header["t"]))
-    seen = 0
-    for line in lines[1:]:
+    shape = tuple(_header_field(header, key, int) for key in ("s_count", "heads", "t"))
+    if min(shape) < 1:
+        raise ValueError(f"dump header shape (s_count, heads, t) = {shape} is invalid")
+    model_id = _header_field(header, "model_id", str)
+    ordering = _header_field(header, "ordering", str)
+    t = shape[2]
+    probs = np.zeros(shape + (t,))
+    filled = np.zeros(shape, dtype=bool)
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         doc = json.loads(line)
-        probs[doc["layer"], doc["head"], doc["token"]] = doc["p"]
-        seen += 1
-    expected = header["s_count"] * header["heads"] * header["t"]
-    if seen != expected:
-        raise ValueError(f"dump holds {seen} vectors, expected {expected}")
+        what = f"dump line {lineno}"
+        if not isinstance(doc, dict):
+            raise ValueError(f"{what} is not a JSON object")
+        index = (doc.get("layer"), doc.get("head"), doc.get("token"))
+        if not all(type(i) is int and 0 <= i < n for i, n in zip(index, shape)):
+            raise ValueError(f"{what}: (layer, head, token) {index} is not an index into {shape}")
+        if filled[index]:
+            raise ValueError(f"{what}: (layer, head, token) {index} given twice")
+        row = np.asarray(doc.get("p"))
+        if row.shape != (t,) or row.dtype.kind not in "iuf":
+            raise ValueError(f"{what}: 'p' must be a list of {t} numbers")
+        probs[index] = row
+        filled[index] = True
+    if not filled.all():
+        raise ValueError(f"dump holds {int(filled.sum())} vectors, expected {filled.size}")
     return AttentionDump(
-        model_id=header["model_id"],
-        ordering=header["ordering"],
-        heads=header["heads"],
-        t=header["t"],
-        probs=probs,
+        model_id=model_id, ordering=ordering, heads=shape[1], t=t, probs=probs
     )
 
 
@@ -163,6 +198,7 @@ def _assignment_min(cost: np.ndarray) -> tuple[list[int], float]:
     """O(n^3) shortest-augmenting-path assignment (row potentials u, column
     potentials v); returns (row -> column, optimal total)."""
     n = cost.shape[0]
+    rows = cost.tolist()  # Python floats index and subtract faster than numpy scalars
     INF = math.inf
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -178,7 +214,7 @@ def _assignment_min(cost: np.ndarray) -> tuple[list[int], float]:
             i0 = p[j0]
             delta = INF
             j1 = 0
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             for j in range(1, n + 1):
                 if used[j]:
                     continue
@@ -205,7 +241,7 @@ def _assignment_min(cost: np.ndarray) -> tuple[list[int], float]:
     match = [0] * n
     for j in range(1, n + 1):
         match[p[j] - 1] = j - 1
-    total = math.fsum(cost[i, match[i]] for i in range(n))
+    total = math.fsum(rows[i][match[i]] for i in range(n))
     return match, total
 
 
@@ -262,6 +298,26 @@ class DistanceReport:
     grand_mean: float
 
 
+def _layer_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Minimal total head-matching EMD per token of one sublayer.
+
+    ``pa`` and ``pb`` are ``[H, t, t]``; the ``[t, H, H]`` costs are built in
+    one expression and each token's matrix is solved once, in its canonical
+    orientation (see the module docstring).
+    """
+    pa, pb = pa.transpose(1, 0, 2), pb.transpose(1, 0, 2)  # [t, H, t]
+    cost = np.abs(np.cumsum(pa[:, :, None, :] - pb[:, None, :, :], axis=-1)).sum(axis=-1)
+    t = cost.shape[0]
+    flat = cost.reshape(t, -1)
+    flat_t = cost.transpose(0, 2, 1).reshape(t, -1)
+    first = (flat != flat_t).argmax(axis=1)  # 0 when the matrix is symmetric
+    tokens = np.arange(t)
+    use_t = flat_t[tokens, first] < flat[tokens, first]
+    return np.array(
+        [_assignment_min(cost[tok].T if use_t[tok] else cost[tok])[1] for tok in range(t)]
+    )
+
+
 def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> DistanceReport:
     """Minimal total head-matching EMD per (sublayer ordinal, token).
 
@@ -274,21 +330,18 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
         if va != vb:
             raise ValueError(f"incompatible dumps: {attr} {va} != {vb}")
     for dump in (dump_a, dump_b):
+        if not np.isfinite(dump.probs).all():
+            raise ValueError(f"dump {dump.model_id!r} holds non-finite probabilities")
         drift = np.abs(dump.probs.sum(axis=-1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(
                 f"dump {dump.model_id!r} rows deviate from unit mass by {drift:g}"
             )
-    layers, heads, t = dump_a.s_count, dump_a.heads, dump_a.t
+    layers, t = dump_a.s_count, dump_a.t
     distances = np.zeros((layers, t))
-    for i in range(layers):
-        for tok in range(t):
-            pa = dump_a.probs[i, :, tok, :]  # [H, t]
-            pb = dump_b.probs[i, :, tok, :]
-            diff = np.cumsum(pa[:, None, :] - pb[None, :, :], axis=-1)
-            cost = np.abs(diff).sum(axis=-1)
-            _, total = hungarian(cost)
-            distances[i, tok] = total
+    if dump_a is not dump_b:  # a self pair's costs have a zero diagonal: every minimum is 0
+        for i in range(layers):
+            distances[i] = _layer_distances(dump_a.probs[i], dump_b.probs[i])
     per_layer = np.array([math.fsum(distances[i]) / t for i in range(layers)])
     grand = math.fsum(distances.reshape(-1)) / (layers * t)
     return DistanceReport(

@@ -438,33 +438,45 @@ def save_checkpoint(model: TransformerStack, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"checkpoint truncated in its {what}")
+    return raw
+
+
 def load_checkpoint(path) -> TransformerStack:
+    """Read a checkpoint written by :func:`save_checkpoint`; a damaged or
+    incomplete file raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = struct.unpack("<B", _read_exact(fh, 1, "version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        config = ModelConfig(
-            d=header["d"],
-            heads=header["heads"],
-            vocab=header["vocab"],
-            context=header["context"],
-            ordering=parse_ordering(header["ordering"], header["decoder_mode"]),
-            ffn_inner=header["ffn_inner"],
-            tie_embeddings=header["tie_embeddings"],
-            pre_norm=header["pre_norm"],
-            activation=header["activation"],
-            dropout=header["dropout"],
-        )
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+        header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        try:
+            config = ModelConfig(
+                d=header["d"],
+                heads=header["heads"],
+                vocab=header["vocab"],
+                context=header["context"],
+                ordering=parse_ordering(header["ordering"], header["decoder_mode"]),
+                ffn_inner=header["ffn_inner"],
+                tie_embeddings=header["tie_embeddings"],
+                pre_norm=header["pre_norm"],
+                activation=header["activation"],
+                dropout=header["dropout"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"checkpoint header lacks {exc}") from None
+        except TypeError as exc:  # not a JSON object, or a field of the wrong type
+            raise ValueError(f"malformed checkpoint header: {exc}") from None
         model = build_model(config, rng_seed=0)
         for p in model.parameters():
-            raw = fh.read(p.data.size * 8)
-            if len(raw) != p.data.size * 8:
-                raise ValueError("checkpoint truncated")
+            raw = _read_exact(fh, p.data.size * 8, "parameters")
             p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).copy()
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -58,6 +59,67 @@ def test_dump_round_trip_is_exact(tmp_path):
     truncated.write_text("\n".join((path.read_text().splitlines())[:-3]) + "\n")
     with pytest.raises(ValueError):
         aa.load_dump(truncated)
+
+
+def _duplicate_first_vector(lines):
+    lines[2] = lines[1]  # the vector count still matches the header
+
+
+def _replace_line(i, text):
+    def edit(lines):
+        lines[i] = text
+    return edit
+
+
+def _set_header(key, value):
+    """Edit one header field; None removes it."""
+    def edit(lines):
+        header = json.loads(lines[0])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        lines[0] = json.dumps(header)
+    return edit
+
+
+def _set_vector(key, value):
+    def edit(lines):
+        doc = json.loads(lines[1])
+        doc[key] = value
+        lines[1] = json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _duplicate_first_vector,
+        _set_vector("layer", -1),
+        _set_vector("layer", 9),
+        _set_vector("token", True),
+        _set_vector("p", [1.0]),
+        _set_vector("p", "abc"),
+        _set_header("t", None),
+        _set_header("heads", 0),
+        _set_header("model_id", 7),
+        _replace_line(0, "[1, 2]"),
+        _replace_line(1, "[1, 2]"),
+    ],
+    ids=[
+        "duplicate-vector", "negative-layer", "layer-out-of-range", "bool-token",
+        "short-vector", "string-vector", "header-without-t", "zero-heads",
+        "non-string-model-id", "non-object-header", "non-object-vector",
+    ],
+)
+def test_load_dump_rejects_inconsistent_files(tmp_path, edit):
+    path = tmp_path / "dump.jsonl"
+    aa.save_dump(random_dump(0), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        aa.load_dump(path)
 
 
 # -- emd -----------------------------------------------------------------------
@@ -234,6 +296,62 @@ def test_grand_mean_is_plain_average():
         report.per_layer_mean,
         [math.fsum(report.distances[i]) / t for i in range(layers)],
     )
+
+
+def tie_heavy_dump(seed, heads, kind, s_count=2, t=10, model_id="m"):
+    """Dumps whose cost matrices tie: uniform rows, duplicated heads, masses
+    in quarters, or "early" heads that stochastically dominate "late" ones,
+    where every matching costs the same up to rounding. Under causal masking
+    tokens 0 and 1 have 1-2 positions in every kind."""
+    dump = random_dump(seed, s_count=s_count, heads=heads, t=t, model_id=model_id)
+    probs = dump.probs
+    if kind in ("early", "late"):
+        for tok in range(t):
+            lo, hi = (0, tok // 2) if kind == "early" else (tok // 2, tok)
+            probs[:, :, tok, :lo] = 0.0
+            probs[:, :, tok, hi + 1 :] = 0.0
+            probs[:, :, tok] /= probs[:, :, tok].sum(axis=-1, keepdims=True)
+    elif kind == "uniform":
+        for tok in range(t):
+            probs[:, :, tok, : tok + 1] = 1.0 / (tok + 1)
+    elif kind == "duplicated":
+        probs[:, 1::2] = probs[:, : heads // 2]
+    elif kind == "quarters":
+        rng = np.random.default_rng(seed)
+        for tok in range(t):
+            counts = rng.multinomial(4, np.ones(tok + 1) / (tok + 1), size=(s_count, heads))
+            probs[:, :, tok, : tok + 1] = counts / 4.0
+    return dump
+
+
+@pytest.mark.parametrize("heads", [1, 3, 8])
+@pytest.mark.parametrize(
+    "kinds", [("random", "random"), ("uniform", "random"), ("duplicated", "duplicated"),
+              ("quarters", "quarters"), ("uniform", "quarters"), ("early", "late")],
+)
+def test_distance_matches_hungarian_and_is_symmetric_on_ties(heads, kinds):
+    a = tie_heavy_dump(25, heads, kinds[0], model_id="a")
+    b = tie_heavy_dump(26, heads, kinds[1], model_id="b")
+    ab = aa.attention_distance(a, b)
+    ba = aa.attention_distance(b, a)
+    assert np.array_equal(ab.distances, ba.distances)
+    assert ab.grand_mean == ba.grand_mean
+    for i in range(a.s_count):
+        for tok in range(a.t):
+            cost = np.array(
+                [[aa.emd_1d(p, q) for q in b.probs[i, :, tok]] for p in a.probs[i, :, tok]]
+            )
+            assert abs(ab.distances[i, tok] - aa.hungarian(cost)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_dump_raises(bad):
+    a, b = random_dump(14, model_id="a"), random_dump(15, model_id="b")
+    b.probs[1, 2, 3, 0] = bad
+    with pytest.raises(ValueError):
+        aa.attention_distance(a, b)
+    with pytest.raises(ValueError):
+        aa.attention_distance(b, b)
 
 
 def test_incompatible_dumps_raise():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -323,3 +326,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(data[: len(data) - 17])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_damaged_header_raises_value_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(small_config(), 29), path)
+    data = path.read_bytes()
+    header_end = 9 + struct.unpack("<I", data[5:9])[0]  # magic, version, length, JSON
+    cut = tmp_path / "cut.ckpt"
+    for size in range(header_end + 1):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError):
+            load_checkpoint(cut)
+    header = json.loads(data[9:header_end])
+    blobs = (
+        json.dumps({k: v for k, v in header.items() if k != "d"}),
+        json.dumps({**header, "d": "x"}),
+        "[1, 2]",
+    )
+    for blob in blobs:
+        raw = blob.encode("utf-8")
+        cut.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
+        with pytest.raises(ValueError):
+            load_checkpoint(cut)
