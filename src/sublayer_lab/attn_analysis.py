@@ -332,6 +332,8 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
     for dump in (dump_a, dump_b):
         if not np.isfinite(dump.probs).all():
             raise ValueError(f"dump {dump.model_id!r} holds non-finite probabilities")
+        if (dump.probs < 0.0).any():
+            raise ValueError(f"dump {dump.model_id!r} holds negative probabilities")
         drift = np.abs(dump.probs.sum(axis=-1) - 1.0).max()
         if drift > 1e-9:
             raise ValueError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -128,6 +129,10 @@ def _template_from(v: _Validator) -> lm_harness.TrainTemplate | None:
     )
     if kwargs["d"] and kwargs["heads"] and kwargs["d"] % kwargs["heads"]:
         tv.fail("heads", f"must divide d={kwargs['d']}")
+    if not (math.isfinite(kwargs["lr"]) and kwargs["lr"] > 0):
+        tv.fail("lr", f"must be finite and > 0, got {kwargs['lr']}")
+    if not 0.0 <= kwargs["dropout"] < 1.0:
+        tv.fail("dropout", f"must be in [0, 1), got {kwargs['dropout']}")
     v.errors.extend(tv.errors)
     if tv.errors:
         return None
@@ -385,13 +390,13 @@ def _cmd_analyze_halves(args) -> int:
     include_baselines = v.get("include_baselines", bool, default=False)
     metric_field = v.get("metric_field", str, default="")
     out = v.get("out", str)
-    pairs: list[tuple[str, float]] = []
+    rows: list[tuple[str, object]] = []
+    field = metric_field
     if records_path == "bundled-tables":
-        rows = arch_dsl.load_table_records()
         field = metric_field or "dev_ppl"
-        pairs = [
-            (r["ordering"], float(r[field]))
-            for r in rows
+        rows = [
+            (r["ordering"], r.get(field))
+            for r in arch_dsl.load_table_records()
             if include_baselines or not r["baseline"]
         ]
     elif records_path is not None:
@@ -399,9 +404,14 @@ def _cmd_analyze_halves(args) -> int:
             v.fail("records", f"file not found: {records_path}")
         else:
             field = metric_field or "valid_ppl"
-            for rec in lm_harness.read_results(records_path):
-                pairs.append((rec.ordering, getattr(rec, field)))
+            rows = [
+                (rec.ordering, getattr(rec, field, None))
+                for rec in lm_harness.read_results(records_path)
+            ]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for _, x in rows):
+        v.fail("metric_field", f"{field!r} is not a numeric field of the records")
     v.raise_if_failed()
+    pairs = [(ordering, float(x)) for ordering, x in rows]
 
     report = lm_harness.analyze_halves(pairs, threshold)
     print(f"threshold: {report.threshold}")

@@ -2,9 +2,11 @@
 
 Each sublayer is a residual block: ``x + sublayer(norm(x))`` with pre-norm
 placement (default), or ``norm(x + sublayer(x))`` with post-norm. Attention is
-multi-head scaled dot-product; the feedforward block is a two-layer MLP.
-Cross-attention (`c`) reads queries from the decoder stream and keys/values
-from a provided memory sequence.
+multi-head scaled dot-product, one fused ``tensor_core.attention`` node; the
+feedforward block is a two-layer MLP, ``linear(linear_relu(h))``. So an `s`
+sublayer records 3 tape nodes (norm, attention, residual add) and an `f`
+sublayer 4. Cross-attention (`c`) reads queries from the decoder stream and
+keys/values from a provided memory sequence.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import numpy as np
 from .arch_dsl import OrderingSpec, SublayerKind, parse_ordering, sublayer_param_count
 from .tensor_core import (
     Tensor,
+    attention,
     dropout,
     embedding,
     layer_norm,
+    linear,
+    linear_relu,
     matmul,
-    relu,
-    reshape,
     slice_rows,
-    softmax_rows,
     swap_axes,
 )
 
@@ -66,9 +68,14 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        sizes = ("d", "heads", "vocab", "context", "ffn_inner")
+        for name in sizes:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.ffn_inner == 0:
             self.ffn_inner = 4 * self.d
-        for name in ("d", "heads", "vocab", "context", "ffn_inner"):
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads:
@@ -250,20 +257,6 @@ def count_params(
     return total
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # [..., t, d] -> [..., heads, t, d/heads]
-    *batch, t, d = x.shape
-    x = reshape(x, (*batch, t, heads, d // heads))
-    return swap_axes(x, -2, -3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # [..., heads, t, hd] -> [..., t, heads*hd]
-    x = swap_axes(x, -2, -3)
-    *batch, t, heads, hd = x.shape
-    return reshape(x, (*batch, t, heads * hd))
-
-
 def _attention(
     queries: Tensor,
     keys_values: Tensor,
@@ -273,16 +266,10 @@ def _attention(
     capture: AttentionCapture | None,
     kind_char: str,
 ) -> Tensor:
-    d = queries.shape[-1]
-    q = _split_heads(matmul(queries, p.wq) + p.bq, heads)
-    k = _split_heads(matmul(keys_values, p.wk) + p.bk, heads)
-    v = _split_heads(matmul(keys_values, p.wv) + p.bv, heads)
-    scores = matmul(q, swap_axes(k, -1, -2)) * (1.0 / math.sqrt(d // heads))
-    probs = softmax_rows(scores, mask)
-    if capture is not None:
-        capture.add(kind_char, probs.data)
-    ctx = _merge_heads(matmul(probs, v))
-    return matmul(ctx, p.wo) + p.bo
+    return attention(
+        queries, keys_values, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo, heads,
+        mask, None if capture is None else lambda probs: capture.add(kind_char, probs),
+    )
 
 
 def _residual(x, inner, p, pre_norm, drop_rate=0.0, drop_rng=None):
@@ -353,7 +340,7 @@ def feedforward_sublayer(
     """Residual two-layer MLP with ReLU."""
 
     def inner(h):
-        return matmul(relu(matmul(h, p.w1) + p.b1), p.w2) + p.b2
+        return linear(linear_relu(h, p.w1, p.b1), p.w2, p.b2)
 
     return _residual(x, inner, p, pre_norm, drop_rate, drop_rng)
 

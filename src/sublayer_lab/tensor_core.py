@@ -4,12 +4,21 @@ Everything is 64-bit: the models are tiny and sharp gradient checks matter
 more than speed. A ``Tape`` and the tensors recorded on it form a
 single-threaded unit; the active-tape stack is thread-local so independent
 tapes may run on separate threads.
+
+Besides the primitive ops there are three fused ones, each a single tape
+node with a hand-written backward: ``attention`` (multi-head scaled
+dot-product attention with its four projections; self-attention projects
+Q, K and V in one GEMM), ``linear`` and ``linear_relu``. A tape owns its
+nodes and their outputs; a tensor refers back to its tape only weakly, so
+dropping the tape frees a step's activations without a garbage-collector
+pass.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -36,6 +45,9 @@ __all__ = [
     "layer_norm",
     "cross_entropy_loss",
     "dropout",
+    "linear",
+    "linear_relu",
+    "attention",
     "OptimizerState",
     "adam_step",
     "zero_grads",
@@ -46,12 +58,17 @@ __all__ = [
 class Tensor:
     """Dense float64 array plus an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "grad", "_tape")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape this tensor was recorded on, while that tape is alive."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,7 +162,7 @@ def no_grad():
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     tape = _current_tape()
     if tape is not None:
-        out.tape = tape
+        out._tape = weakref.ref(tape)
         tape.nodes.append(_Node(out, inputs, backward_fn))
     return out
 
@@ -333,7 +350,6 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -343,11 +359,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         dxhat = g * gain.data
-        dvar = (dxhat * centered * -0.5 * ivar**3).sum(axis=-1, keepdims=True)
-        dmu = (-dxhat * ivar).sum(axis=-1, keepdims=True) + dvar * (
-            -2.0 * centered
-        ).mean(axis=-1, keepdims=True)
-        dx = dxhat * ivar + dvar * 2.0 * centered / d + dmu / d
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx *= ivar
         dgain = _reduce_to_shape(g * xhat, gain.data.shape)
         dbias = _reduce_to_shape(g, bias.data.shape)
         return dx, dgain, dbias
@@ -396,6 +410,148 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     factor = keep / (1.0 - rate)
     out = Tensor(x.data * factor)
     return _record(out, (x,), lambda g: (g * factor,))
+
+
+# ---------------------------------------------------------------------------
+# fused operations: one tape node each, gradients equal to the primitive
+# composition up to float rounding
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
+    k, n = w.data.shape
+    if x.data.shape[-1] != k or b.data.shape != (n,):
+        raise ValueError(
+            f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
+        )
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    y += b.data
+    keep = None
+    if relu_out:
+        keep = y > 0
+        y *= keep
+    out = Tensor(y.reshape(*x.data.shape[:-1], n))
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        if keep is not None:
+            g2 = g2 * keep
+        gx = (g2 @ w.data.T).reshape(x.data.shape)
+        return gx, x2.T @ g2, g2.sum(axis=0)
+
+    return _record(out, (x, w, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [..., k], w [k, n], b [n], as one flat GEMM."""
+    return _linear(x, w, b, relu_out=False)
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``relu(x @ w + b)`` as one node."""
+    return _linear(x, w, b, relu_out=True)
+
+
+def _split_heads(a: np.ndarray, lead: tuple, t: int, heads: int) -> np.ndarray:
+    # [N, d] rows of [*lead, t] -> [*lead, heads, t, d/heads] (a view)
+    return np.swapaxes(a.reshape(*lead, t, heads, -1), -2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    # [..., heads, t, hd] -> [N, heads*hd]
+    return np.swapaxes(a, -2, -3).reshape(-1, a.shape[-3] * a.shape[-1])
+
+
+def attention(
+    queries: Tensor,
+    keys_values: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    bq: Tensor,
+    bk: Tensor,
+    bv: Tensor,
+    bo: Tensor,
+    heads: int,
+    mask: np.ndarray | None = None,
+    capture: Callable[[np.ndarray], None] | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention with its projections, one node.
+
+    queries [..., t, d] and keys_values [..., m, d] (leading axes broadcast)
+    give [..., t, d]. ``mask`` is a boolean [t, m] array where True marks
+    positions a query may attend to; masked probabilities are exactly 0 and
+    a fully masked row raises ``ValueError``. When ``queries is
+    keys_values`` Q, K and V come from one GEMM with ``[wq | wk | wv]``;
+    otherwise Q comes from one and K, V from another with ``[wk | wv]``.
+    ``capture``, when given, receives the [..., heads, t, m] post-softmax
+    probabilities.
+    """
+    d = wq.data.shape[0]
+    t, m = queries.data.shape[-2], keys_values.data.shape[-2]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (t, m):
+            raise ValueError(f"attention mask shape {mask.shape} != {(t, m)}")
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention: fully masked row")
+    if queries is keys_values:
+        groups = ((queries, (wq, wk, wv), (bq, bk, bv)),)
+    else:
+        groups = ((queries, (wq,), (bq,)), (keys_values, (wk, wv), (bk, bv)))
+    projections, saved = [], []
+    for x, ws, bs in groups:
+        x2 = x.data.reshape(-1, d)
+        w = np.concatenate([p.data for p in ws], axis=1)
+        y = x2 @ w
+        y += np.concatenate([p.data for p in bs])
+        projections += np.split(y, len(ws), axis=1)
+        saved.append((x.data.shape, x2, w, len(ws)))
+    lead_q, lead_kv = queries.data.shape[:-2], keys_values.data.shape[:-2]
+    q = _split_heads(projections[0], lead_q, t, heads)
+    k = _split_heads(projections[1], lead_kv, m, heads)
+    v = _split_heads(projections[2], lead_kv, m, heads)
+    scale = 1.0 / math.sqrt(d // heads)
+    probs = np.matmul(q, np.swapaxes(k, -1, -2))  # softmax in place from here
+    probs *= scale
+    if mask is not None:
+        np.copyto(probs, -np.inf, where=~mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if capture is not None:
+        capture(probs)
+    ctx2 = _merge_heads(np.matmul(probs, v))
+    y = ctx2 @ wo.data
+    y += bo.data
+    lead = probs.shape[:-3]
+    out = Tensor(y.reshape(*lead, t, d))
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        gctx = _split_heads(g2 @ wo.data.T, lead, t, heads)
+        gz = np.matmul(gctx, np.swapaxes(v, -1, -2))  # d loss / d probs, then d scores
+        gz -= (gz * probs).sum(axis=-1, keepdims=True)
+        gz *= probs
+        gz *= scale
+        # leading axes broadcast between queries and keys_values: sum back
+        gq = _reduce_to_shape(np.matmul(gz, k), q.shape)
+        gk = _reduce_to_shape(np.matmul(np.swapaxes(gz, -1, -2), q), k.shape)
+        gv = _reduce_to_shape(np.matmul(np.swapaxes(probs, -1, -2), gctx), v.shape)
+        gproj = [_merge_heads(gq), _merge_heads(gk), _merge_heads(gv)]
+        gxs, gws, gbs, i = [], [], [], 0
+        for shape, x2, w, n in saved:
+            gy = np.concatenate(gproj[i : i + n], axis=1)
+            i += n
+            gxs.append((gy @ w.T).reshape(shape))
+            gws += np.split(x2.T @ gy, n, axis=1)
+            gbs += np.split(gy.sum(axis=0), n)
+        if len(gxs) == 1:
+            gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
+        return (*gxs, *gws, ctx2.T @ g2, *gbs, g2.sum(axis=0))
+
+    return _record(out, (queries, keys_values, wq, wk, wv, wo, bq, bk, bv, bo), bwd)
 
 
 # ---------------------------------------------------------------------------

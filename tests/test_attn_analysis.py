@@ -354,6 +354,17 @@ def test_non_finite_dump_raises(bad):
         aa.attention_distance(b, b)
 
 
+def test_negative_probability_dump_raises():
+    a, b = random_dump(14, model_id="a"), random_dump(15, model_id="b")
+    row = b.probs[1, 2, 3]
+    row[0] = -5.0
+    row[1] = 6.0 - row[2:].sum()  # the row still has unit mass
+    with pytest.raises(ValueError, match="negative"):
+        aa.attention_distance(a, b)
+    with pytest.raises(ValueError, match="negative"):
+        aa.attention_distance(b, b)
+
+
 def test_incompatible_dumps_raise():
     a = random_dump(10, heads=3)
     b = random_dump(11, heads=4)

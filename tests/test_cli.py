@@ -119,6 +119,38 @@ def test_config_validation_lists_every_error(tmp_path, capsys):
     assert "corpus" in err
 
 
+def test_bad_lr_and_dropout_are_listed_together(tmp_path, tiny_corpus, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "sf", "train": {**train_block(), "lr": -1, "dropout": 1.5},
+        "corpus": str(tiny_corpus),
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: train.lr" in err
+    assert "config error: train.dropout" in err
+
+
+def test_analyze_halves_unknown_metric_field_exits_2(tmp_path, tiny_corpus, capsys):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "search.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "permutation", "trials": 2, "n_s": 1, "n_f": 1,
+        "train": train_block(steps=2), "corpus": str(tiny_corpus), "out": str(out),
+    }))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    for records, field in (
+        ("bundled-tables", "nope"), ("bundled-tables", "source"),
+        (str(out), "nope"), (str(out), "ordering"), (str(out), "loss_curve"),
+    ):
+        cfg_path.write_text(json.dumps({"records": records, "metric_field": field}))
+        capsys.readouterr()
+        assert main(["analyze-halves", "--config", str(cfg_path)]) == 2, field
+        assert "config error: metric_field" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"records": str(out), "metric_field": "valid_nats"}))
+    assert main(["analyze-halves", "--config", str(cfg_path)]) == 0
+
+
 def test_config_invalid_json_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,11 @@ from sublayer_lab.model import (
     self_attention_sublayer,
 )
 from sublayer_lab.tensor_core import (
+    OptimizerState,
+    Tape,
     Tensor,
+    adam_step,
+    backward,
     cross_entropy_loss,
     finite_difference_check,
     sum_all,
@@ -349,3 +355,40 @@ def test_checkpoint_damaged_header_raises_value_error(tmp_path):
         cut.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
         with pytest.raises(ValueError):
             load_checkpoint(cut)
+
+
+def test_checkpoint_float_size_raises_value_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(small_config(), 29), path)
+    data = path.read_bytes()
+    header_end = 9 + struct.unpack("<I", data[5:9])[0]
+    raw = json.dumps({**json.loads(data[9:header_end]), "d": 8.0}).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
+    with pytest.raises(ValueError, match="integer"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["d", "heads", "vocab", "context", "ffn_inner"])
+@pytest.mark.parametrize("value", [8.0, True, "8"])
+def test_config_rejects_non_integral_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+    small_config(**{field: np.int64(8)})
+
+
+def test_dropped_training_tape_is_freed_without_gc():
+    m = build_model(small_config("sfsf", dropout=0.1), 30)
+    toks = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+    gc.disable()
+    try:
+        with Tape() as tape:
+            logits = forward(m, toks[:, :-1], dropout_rng=np.random.default_rng(0))
+            loss = cross_entropy_loss(logits, toks[:, 1:])
+        backward(loss, tape)
+        adam_step(m.parameters(), OptimizerState())
+        assert loss.tape is tape
+        ref = weakref.ref(tape)
+        del tape, loss, logits
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -414,3 +414,153 @@ def test_no_grad_blocks_recording():
     assert len(tape.nodes) == 1
     backward(z, tape)
     assert np.array_equal(x.grad, np.ones(3))
+
+
+# -- fused ops ---------------------------------------------------------------------------------
+
+
+def _reference_attention(xq, xkv, ws, heads, mask):
+    """The primitive-op composition that ``attention`` fuses."""
+    wq, wk, wv, wo, bq, bk, bv, bo = ws
+
+    def split(x):
+        *batch, t, d = x.shape
+        return tc.swap_axes(tc.reshape(x, (*batch, t, heads, d // heads)), -2, -3)
+
+    def merge(x):
+        x = tc.swap_axes(x, -2, -3)
+        *batch, t, h, hd = x.shape
+        return tc.reshape(x, (*batch, t, h * hd))
+
+    d = xq.shape[-1]
+    q = split(tc.add(matmul(xq, wq), bq))
+    k = split(tc.add(matmul(xkv, wk), bk))
+    v = split(tc.add(matmul(xkv, wv), bv))
+    scores = tc.scale(matmul(q, tc.swap_axes(k, -1, -2)), 1.0 / math.sqrt(d // heads))
+    probs = softmax_rows(scores, mask)
+    out = tc.add(matmul(merge(matmul(probs, v)), wo), bo)
+    return out, probs.data
+
+
+def _run_with_grads(fn, inputs, pick):
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        out = fn()
+        loss = sum_all(mul(out, pick))
+    backward(loss, tape)
+    return out.data, [t.grad for t in inputs]
+
+
+def _attention_case(self_attn, layout, heads, masked, seed=0):
+    rng = np.random.default_rng(seed)
+    d, t, m = 8, 5, (5 if self_attn else 3)
+    q_lead = () if layout == "unbatched" else (2,)
+    kv_lead = (2,) if layout == "batched" else ()
+    xq = Tensor(rng.normal(size=(*q_lead, t, d)))
+    xkv = xq if self_attn else Tensor(rng.normal(size=(*kv_lead, m, d)))
+    ws = [Tensor(rng.normal(size=(d, d)) * 0.5) for _ in range(4)]
+    ws += [Tensor(rng.normal(size=d) * 0.1) for _ in range(4)]
+    mask = np.tril(np.ones((t, m), dtype=bool)) if masked else None
+    pick = Tensor(rng.normal(size=(*q_lead, t, d)))
+    return xq, xkv, ws, mask, pick
+
+
+ATTENTION_CASES = [
+    (self_attn, layout, heads, masked)
+    for self_attn, layouts in ((True, ("unbatched", "batched")), (False, ("unbatched", "batched", "shared_memory")))
+    for layout in layouts
+    for heads in (1, 2, 4)
+    for masked in (False, True)
+]
+
+
+@pytest.mark.parametrize("self_attn,layout,heads,masked", ATTENTION_CASES)
+def test_fused_attention_matches_primitive_composition(self_attn, layout, heads, masked):
+    xq, xkv, ws, mask, pick = _attention_case(self_attn, layout, heads, masked)
+    inputs = [xq] + ([] if self_attn else [xkv]) + ws
+    captured, ref_captured = [], []
+
+    def reference():
+        out, probs = _reference_attention(xq, xkv, ws, heads, mask)
+        ref_captured.append(probs)
+        return out
+
+    out, grads = _run_with_grads(
+        lambda: tc.attention(xq, xkv, *ws, heads, mask, captured.append), inputs, pick
+    )
+    ref_out, ref_grads = _run_with_grads(reference, inputs, pick)
+    assert np.abs(out - ref_out).max() < 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert np.abs(g - ref).max() < 1e-10
+    (probs,), (ref_probs,) = captured, ref_captured
+    assert probs.shape == ref_probs.shape
+    assert np.abs(probs - ref_probs).max() < 1e-12
+    if masked:
+        assert np.all(probs[..., ~mask] == 0.0)
+
+
+@pytest.mark.parametrize("self_attn", [True, False])
+def test_fused_attention_passes_fd_check(self_attn):
+    xq, xkv, ws, mask, pick = _attention_case(self_attn, "batched", 2, True, seed=1)
+
+    def via(x, xkv_of, ws_of):
+        return sum_all(mul(tc.attention(x, xkv_of(x), *ws_of, 2, mask), pick))
+
+    same = (lambda x: x) if self_attn else (lambda x: xkv)
+    assert finite_difference_check(lambda x: via(x, same, ws), xq) < 1e-4
+    for i in (0, 1, 2, 3, 4, 6, 7):  # not bk: softmax cancels it, its gradient is 0
+        def f(w, i=i):
+            return via(xq, same, ws[:i] + [w] + ws[i + 1 :])
+
+        assert finite_difference_check(f, ws[i]) < 1e-4
+    if not self_attn:
+        assert finite_difference_check(
+            lambda m: sum_all(mul(tc.attention(xq, m, *ws, 2, mask), pick)), xkv
+        ) < 1e-4
+
+
+def test_fused_attention_mask_errors():
+    xq, xkv, ws, _, _ = _attention_case(True, "unbatched", 2, False)
+    bad = np.tril(np.ones((5, 5), dtype=bool))
+    bad[3] = False
+    with pytest.raises(ValueError, match="fully masked"):
+        tc.attention(xq, xkv, *ws, 2, bad)
+    with pytest.raises(ValueError, match="mask shape"):
+        tc.attention(xq, xkv, *ws, 2, np.ones((1, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("with_relu", [False, True])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_fused_linear_matches_primitive_composition(with_relu, lead):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(*lead, 4, 6)))
+    w, b = Tensor(rng.normal(size=(6, 5))), Tensor(rng.normal(size=5))
+    pick = Tensor(rng.normal(size=(*lead, 4, 5)))
+    fused = tc.linear_relu if with_relu else tc.linear
+
+    def reference():
+        y = tc.add(matmul(x, w), b)
+        return relu(y) if with_relu else y
+
+    out, grads = _run_with_grads(lambda: fused(x, w, b), [x, w, b], pick)
+    ref_out, ref_grads = _run_with_grads(reference, [x, w, b], pick)
+    assert np.abs(out - ref_out).max() < 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert np.abs(g - ref).max() < 1e-10
+    for i, t in enumerate((x, w, b)):
+        def f(v, i=i):
+            args = [x, w, b]
+            args[i] = v
+            return sum_all(mul(fused(*args), pick))
+
+        assert finite_difference_check(f, Tensor(t.data.copy())) < 1e-4
+
+
+def test_fused_linear_shape_errors():
+    with pytest.raises(ValueError):
+        tc.linear(Tensor(rand(3, 4)), Tensor(rand(5, 2)), Tensor(rand(2)))
+    with pytest.raises(ValueError):
+        tc.linear(Tensor(rand(3, 4)), Tensor(rand(4, 2)), Tensor(rand(3)))
