@@ -134,13 +134,25 @@ def _header_field(header: dict, key: str, kind: type):
     return value
 
 
+def _check_probabilities(probs: np.ndarray, model_id: str) -> None:
+    """Raise ``ValueError`` unless every row is a finite, non-negative unit mass."""
+    if not np.isfinite(probs).all():
+        raise ValueError(f"dump {model_id!r} holds non-finite probabilities")
+    if (probs < 0.0).any():
+        raise ValueError(f"dump {model_id!r} holds negative probabilities")
+    drift = np.abs(probs.sum(axis=-1) - 1.0).max()
+    if drift > 1e-9:
+        raise ValueError(f"dump {model_id!r} rows deviate from unit mass by {drift:g}")
+
+
 def load_dump(path) -> AttentionDump:
     """Read a dump written by :func:`save_dump`.
 
     Raises ``ValueError`` for anything but a complete, consistent dump: a
     missing or mistyped header field, an index outside the header's shape, a
-    (layer, head, token) vector given twice or not at all, or a vector of the
-    wrong length.
+    (layer, head, token) vector given twice or not at all, a vector of the
+    wrong length, or probabilities that ``attention_distance`` would reject
+    (non-finite, negative, or a row off unit mass).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -177,6 +189,7 @@ def load_dump(path) -> AttentionDump:
         filled[index] = True
     if not filled.all():
         raise ValueError(f"dump holds {int(filled.sum())} vectors, expected {filled.size}")
+    _check_probabilities(probs, model_id)
     return AttentionDump(
         model_id=model_id, ordering=ordering, heads=shape[1], t=t, probs=probs
     )
@@ -329,16 +342,8 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
         va, vb = getattr(dump_a, attr), getattr(dump_b, attr)
         if va != vb:
             raise ValueError(f"incompatible dumps: {attr} {va} != {vb}")
-    for dump in (dump_a, dump_b):
-        if not np.isfinite(dump.probs).all():
-            raise ValueError(f"dump {dump.model_id!r} holds non-finite probabilities")
-        if (dump.probs < 0.0).any():
-            raise ValueError(f"dump {dump.model_id!r} holds negative probabilities")
-        drift = np.abs(dump.probs.sum(axis=-1) - 1.0).max()
-        if drift > 1e-9:
-            raise ValueError(
-                f"dump {dump.model_id!r} rows deviate from unit mass by {drift:g}"
-            )
+    _check_probabilities(dump_a.probs, dump_a.model_id)
+    _check_probabilities(dump_b.probs, dump_b.model_id)
     layers, t = dump_a.s_count, dump_a.t
     distances = np.zeros((layers, t))
     if dump_a is not dump_b:  # a self pair's costs have a zero diagonal: every minimum is 0

@@ -226,7 +226,8 @@ class TrialRecord:
     """One trained architecture and its metrics.
 
     ``valid_bpc`` and ``valid_ppl`` are definitional transforms of
-    ``valid_nats`` (nats/char / ln 2 and exp(nats/char)).
+    ``valid_nats`` (nats/char / ln 2 and exp(nats/char)); a diverged run's
+    ``valid_ppl`` is ``inf`` once exp overflows.
     """
 
     ordering: str
@@ -252,11 +253,19 @@ class TrialRecord:
             loss_curve=loss_curve,
             valid_nats=valid_nats,
             valid_bpc=valid_nats / math.log(2.0),
-            valid_ppl=math.exp(valid_nats),
+            valid_ppl=_perplexity(valid_nats),
             param_count=param_count,
             wall_clock_s=wall_clock_s,
             index=index,
         )
+
+
+def _perplexity(nats: float) -> float:
+    """exp(nats), or inf where that overflows a float."""
+    try:
+        return math.exp(nats)
+    except OverflowError:
+        return math.inf
 
 
 def record_to_json_dict(rec: TrialRecord) -> dict:
@@ -291,7 +300,10 @@ def record_from_json_dict(doc: dict) -> TrialRecord:
     )
     if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
         raise ValueError(f"record bpc inconsistent with nats: {doc}")
-    if abs(rec.valid_ppl - math.exp(rec.valid_nats)) > 1e-9 * max(1.0, rec.valid_ppl):
+    ppl = _perplexity(rec.valid_nats)
+    # the tolerance scales with the smaller value, so inf matches only inf
+    tol = 1e-9 * max(1.0, min(ppl, rec.valid_ppl))
+    if ppl != rec.valid_ppl and abs(rec.valid_ppl - ppl) > tol:
         raise ValueError(f"record ppl inconsistent with nats: {doc}")
     return rec
 

@@ -11,6 +11,7 @@ keys/values from a provided memory sequence.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -257,6 +258,14 @@ def count_params(
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _causal_mask(t: int) -> np.ndarray:
+    """Read-only [t, t] lower-triangular mask, built once per length."""
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _attention(
     queries: Tensor,
     keys_values: Tensor,
@@ -296,7 +305,7 @@ def self_attention_sublayer(
 ) -> Tensor:
     """Residual multi-head self-attention over [..., t, d]."""
     t = x.shape[-2]
-    mask = np.tril(np.ones((t, t), dtype=bool)) if causal else None
+    mask = _causal_mask(t) if causal else None
     return _residual(
         x,
         lambda h: _attention(h, h, p, heads, mask, capture, "s"),

@@ -12,6 +12,10 @@ Q, K and V in one GEMM), ``linear`` and ``linear_relu``. A tape owns its
 nodes and their outputs; a tensor refers back to its tape only weakly, so
 dropping the tape frees a step's activations without a garbage-collector
 pass.
+
+``adam_step`` keeps the parameters and both Adam moments in one flat buffer
+each: after the first step every parameter's ``data`` is a view into the
+optimizer's buffer, and the update runs over that buffer in fixed blocks.
 """
 
 from __future__ import annotations
@@ -506,7 +510,7 @@ def attention(
         w = np.concatenate([p.data for p in ws], axis=1)
         y = x2 @ w
         y += np.concatenate([p.data for p in bs])
-        projections += np.split(y, len(ws), axis=1)
+        projections += [y[:, i * d : (i + 1) * d] for i in range(len(ws))]
         saved.append((x.data.shape, x2, w, len(ws)))
     lead_q, lead_kv = queries.data.shape[:-2], keys_values.data.shape[:-2]
     q = _split_heads(projections[0], lead_q, t, heads)
@@ -545,8 +549,9 @@ def attention(
             gy = np.concatenate(gproj[i : i + n], axis=1)
             i += n
             gxs.append((gy @ w.T).reshape(shape))
-            gws += np.split(x2.T @ gy, n, axis=1)
-            gbs += np.split(gy.sum(axis=0), n)
+            gw, gb = x2.T @ gy, gy.sum(axis=0)
+            gws += [gw[:, j * d : (j + 1) * d] for j in range(n)]
+            gbs += [gb[j * d : (j + 1) * d] for j in range(n)]
         if len(gxs) == 1:
             gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
         return (*gxs, *gws, ctx2.T @ g2, *gbs, g2.sum(axis=0))
@@ -558,37 +563,83 @@ def attention(
 # optimizer
 
 
+# Elements per Adam block: the block's temporaries stay in cache, unlike
+# those of one whole-buffer expression.
+ADAM_BLOCK = 16384
+
+
 class OptimizerState:
-    """Adam moments plus hyperparameters; moments are allocated lazily."""
+    """Adam moments plus hyperparameters; buffers are allocated on the first step.
+
+    The parameters, ``m`` and ``v`` each live in one flat float64 buffer.
+    ``adam_step`` rebinds every ``p.data`` to a view into the parameter
+    buffer; rebinding a ``p.data`` afterwards makes the next step re-pack
+    all parameters into a fresh buffer.
+    """
 
     def __init__(self, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._views: list[np.ndarray] = []  # p.data of each parameter, in order
+        self._flat: np.ndarray | None = None
+        self._grads: list[np.ndarray] = []  # per-parameter views into _grad
+        self._grad: np.ndarray | None = None
+
+    def _pack(self, params: Sequence[Tensor]) -> None:
+        shapes = [p.data.shape for p in params]
+        if self.m is not None and shapes != [a.shape for a in self._views]:
+            raise ValueError("optimizer state does not match parameter list")
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("a parameter is listed twice")
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
+        if self.m is None:
+            self.m = np.zeros(total)
+            self.v = np.zeros(total)
+            self._grad = np.empty(total)
+        self._flat = np.empty(total)
+        self._views, self._grads, offset = [], [], 0
+        for p, shape, n in zip(params, shapes, sizes):
+            view = self._flat[offset : offset + n].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            self._views.append(view)
+            self._grads.append(self._grad[offset : offset + n].reshape(shape))
+            offset += n
 
 
 def adam_step(params: Sequence[Tensor], state: OptimizerState) -> None:
-    """One bias-corrected Adam update; parameter grads are cleared after."""
-    if state.m is None:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
+    """One bias-corrected Adam update; parameter grads are cleared after.
+
+    Elementwise it is the textbook per-tensor update, bit for bit, run over
+    the flat buffers in blocks of ``ADAM_BLOCK`` elements.
+    """
+    if state.m is not None and len(params) != len(state._views):
         raise ValueError("optimizer state does not match parameter list")
+    if state.m is None or any(p.data is not a for p, a in zip(params, state._views)):
+        state._pack(params)
+    for p, g in zip(params, state._grads):
+        if p.grad is None:
+            g.fill(0.0)
+        else:
+            g[...] = p.grad
+            p.grad = None
     state.step_count += 1
     b1, b2 = state.betas
     c1 = 1.0 - b1**state.step_count
     c2 = 1.0 - b2**state.step_count
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    for start in range(0, state._flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v = state._grad[block], state.m[block], state.v[block]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p.grad = None
+        state._flat[block] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +682,3 @@ def finite_difference_check(
             numeric[i] = (hi - lo) / (2.0 * eps)
     denom = np.abs(analytic) + np.abs(numeric) + floor
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
-
-
-def quadratic_bowl_minimize(
-    target: np.ndarray, steps: int, lr: float = 0.05
-) -> tuple[float, np.ndarray]:
-    """Tiny convergence harness: minimize ||x - target||^2 with Adam."""
-    x = Tensor(np.zeros_like(np.asarray(target, dtype=np.float64)))
-    state = OptimizerState(lr=lr)
-    loss_value = math.inf
-    for _ in range(steps):
-        with Tape() as tape:
-            diff = sub(x, Tensor(target))
-            loss = sum_all(mul(diff, diff))
-        backward(loss, tape)
-        adam_step([x], state)
-        loss_value = float(loss.data)
-        if loss_value < 1e-12:
-            break
-    return loss_value, x.data

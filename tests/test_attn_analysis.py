@@ -91,6 +91,14 @@ def _set_vector(key, value):
     return edit
 
 
+def _edit_first_probabilities(change):
+    def edit(lines):
+        doc = json.loads(lines[1])
+        doc["p"] = change(doc["p"])
+        lines[1] = json.dumps(doc)
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -105,11 +113,14 @@ def _set_vector(key, value):
         _set_header("model_id", 7),
         _replace_line(0, "[1, 2]"),
         _replace_line(1, "[1, 2]"),
+        _edit_first_probabilities(lambda p: [-5.0, 6.0 - sum(p[2:]), *p[2:]]),
+        _edit_first_probabilities(lambda p: [math.nan, *p[1:]]),
     ],
     ids=[
         "duplicate-vector", "negative-layer", "layer-out-of-range", "bool-token",
         "short-vector", "string-vector", "header-without-t", "zero-heads",
         "non-string-model-id", "non-object-header", "non-object-vector",
+        "negative-probability", "nan-probability",
     ],
 )
 def test_load_dump_rejects_inconsistent_files(tmp_path, edit):

@@ -104,6 +104,20 @@ def test_train_writes_record_and_checkpoint(tmp_path, tiny_corpus, capsys):
     assert (tmp_path / "model.ckpt").exists()
 
 
+def test_diverged_train_exits_0_with_infinite_perplexity(tmp_path, tiny_corpus, capsys):
+    cfg = {
+        "ordering": "sfsf",
+        "train": {**train_block(steps=30), "lr": 1000.0},
+        "corpus": str(tiny_corpus),
+        "out": str(tmp_path / "rec.json"),
+    }
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert "valid_ppl=inf" in capsys.readouterr().out
+    assert json.loads((tmp_path / "rec.json").read_text())["valid_ppl"] == float("inf")
+
+
 def test_config_validation_lists_every_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({

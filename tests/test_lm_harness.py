@@ -285,6 +285,22 @@ def test_record_json_round_trip():
         lm.record_from_json_dict(doc)
 
 
+def test_diverged_run_records_infinite_perplexity(bundled_corpus):
+    cfg = tiny_template(steps=30, lr=1000.0, eval_interval=10).instantiate(
+        parse_ordering("sfsf"), bundled_corpus.vocab_size, seed=0
+    )
+    rec = lm.train(cfg, bundled_corpus)
+    assert math.isfinite(rec.valid_nats) and rec.valid_nats > 710.0  # exp overflows
+    assert rec.valid_ppl == math.inf
+    back = lm.record_from_json_dict(json.loads(json.dumps(lm.record_to_json_dict(rec))))
+    assert back == rec
+    for nats, ppl in ((rec.valid_nats, 1e300), (1.0, math.inf)):
+        doc = lm.record_to_json_dict(rec)
+        doc.update(valid_nats=nats, valid_bpc=nats / math.log(2.0), valid_ppl=ppl)
+        with pytest.raises(ValueError, match="ppl inconsistent"):
+            lm.record_from_json_dict(doc)
+
+
 # -- half-split analysis -----------------------------------------------------------------
 
 

@@ -306,11 +306,88 @@ def test_adam_first_step_magnitude():
     assert p.grad is None  # cleared
 
 
+def quadratic_bowl_minimize(target, steps, lr=0.05):
+    """Tiny convergence harness: minimize ||x - target||^2 with Adam."""
+    x = Tensor(np.zeros_like(np.asarray(target, dtype=np.float64)))
+    state = OptimizerState(lr=lr)
+    loss_value = math.inf
+    for _ in range(steps):
+        with Tape() as tape:
+            diff = tc.sub(x, Tensor(target))
+            loss = sum_all(mul(diff, diff))
+        backward(loss, tape)
+        adam_step([x], state)
+        loss_value = float(loss.data)
+        if loss_value < 1e-12:
+            break
+    return loss_value, x.data
+
+
 def test_adam_quadratic_bowl_convergence():
     target = np.array([1.5, -2.0, 0.25, 3.0])
-    loss, x = tc.quadratic_bowl_minimize(target, steps=5000, lr=0.05)
+    loss, x = quadratic_bowl_minimize(target, steps=5000, lr=0.05)
     assert loss < 1e-6
     assert np.abs(x - target).max() < 1e-3
+
+
+def reference_adam_step(params, state):
+    """The textbook per-tensor Adam loop that the flat ``adam_step`` must match."""
+    if state.m is None:
+        state.m = [np.zeros_like(p.data) for p in params]
+        state.v = [np.zeros_like(p.data) for p in params]
+    state.step_count += 1
+    b1, b2 = state.betas
+    c1 = 1.0 - b1**state.step_count
+    c2 = 1.0 - b2**state.step_count
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.grad = None
+
+
+def test_flat_adam_matches_per_tensor_reference_bitwise():
+    # sizes straddle ADAM_BLOCK so the update runs over several blocks
+    shapes = [(3, 5), (7,), (), (tc.ADAM_BLOCK + 11,), (2, 3, 4), (tc.ADAM_BLOCK // 2,)]
+    rng = np.random.default_rng(75)
+    ref = [Tensor(rng.normal(size=s)) for s in shapes]
+    flat = [Tensor(p.data.copy()) for p in ref]
+    ref_state, flat_state = OptimizerState(lr=1e-2), OptimizerState(lr=1e-2)
+    for step in range(6):
+        for i, (a, b) in enumerate(zip(ref, flat)):
+            if (i + step) % 3 == 0:
+                continue  # a None grad counts as zeros
+            a.grad = rng.normal(size=shapes[i])
+            b.grad = a.grad.copy()
+        if step == 3:
+            # a caller rebinds one parameter: the next step re-packs
+            new = rng.normal(size=shapes[1])
+            ref[1].data, flat[1].data = new.copy(), new.copy()
+        reference_adam_step(ref, ref_state)
+        adam_step(flat, flat_state)
+        for a, b in zip(ref, flat):
+            assert b.grad is None
+            assert b.data.shape == a.data.shape
+            assert np.array_equal(a.data, b.data)
+    assert flat_state.step_count == 6
+    # after a step every parameter is a view into one buffer
+    buffer = flat[0].data.base
+    assert buffer is not None and all(p.data.base is buffer for p in flat)
+
+
+def test_flat_adam_rejects_mismatched_parameter_lists():
+    params = [Tensor(np.ones((2, 3))), Tensor(np.ones(4))]
+    state = OptimizerState()
+    adam_step(params, state)
+    with pytest.raises(ValueError):
+        adam_step(params[:1], state)
+    with pytest.raises(ValueError):
+        adam_step([params[0], Tensor(np.ones(5))], state)
+    with pytest.raises(ValueError):
+        adam_step([params[0], params[0]], OptimizerState())
 
 
 # -- finite difference checker ------------------------------------------------------------
