@@ -3,10 +3,11 @@
 For two models run on the same tokens, each (self-attention sublayer, token)
 pair yields a head-to-head cost matrix of 1-Wasserstein distances between
 attention distributions; a minimum-cost head matching gives the distance for
-that token and layer, and the grand mean averages over all of them. Each
-cell's minimum comes from one shortest-augmenting-path assignment solve; a
-model's distance to itself is 0 without solving, since its cost matrices
-have a zero diagonal and no negative entry.
+that token and layer, and the grand mean averages over all of them. A pair
+of models makes one call to a shortest-augmenting-path assignment solver,
+which solves all of its (sublayer, token) cells at once, each bitwise as if
+alone; a model's distance to itself is 0 without solving, since its cost
+matrices have a zero diagonal and no negative entry.
 
 Symmetry is exact by construction: negating a float is exact, so the costs
 of (B, A) are bitwise the transposes of those of (A, B). Each cell is solved
@@ -145,6 +146,13 @@ def _check_probabilities(probs: np.ndarray, model_id: str) -> None:
         raise ValueError(f"dump {model_id!r} rows deviate from unit mass by {drift:g}")
 
 
+def _parse_line(line: str, what: str):
+    try:
+        return json.loads(line)
+    except RecursionError:  # nesting deeper than the parser's stack
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def load_dump(path) -> AttentionDump:
     """Read a dump written by :func:`save_dump`.
 
@@ -154,10 +162,11 @@ def load_dump(path) -> AttentionDump:
     wrong length, or probabilities that ``attention_distance`` would reject
     (non-finite, negative, or a row off unit mass).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"empty dump file: {path}")
-    header = json.loads(lines[0])
+    header = _parse_line(lines[0], "dump header")
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("dump file must start with a header line")
     if header.get("v") != DUMP_VERSION:
@@ -168,13 +177,15 @@ def load_dump(path) -> AttentionDump:
     model_id = _header_field(header, "model_id", str)
     ordering = _header_field(header, "ordering", str)
     t = shape[2]
+    if math.prod(shape) * t > len(text):  # before allocating: each probability takes a character
+        raise ValueError(f"dump file is too short for its shape {shape}")
     probs = np.zeros(shape + (t,))
     filled = np.zeros(shape, dtype=bool)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        doc = json.loads(line)
         what = f"dump line {lineno}"
+        doc = _parse_line(line, what)
         if not isinstance(doc, dict):
             raise ValueError(f"{what} is not a JSON object")
         index = (doc.get("layer"), doc.get("head"), doc.get("token"))
@@ -207,55 +218,80 @@ def emd_1d(p, q, tol: float = 1e-6) -> float:
     return float(np.abs(np.cumsum(p - q)).sum())
 
 
-def _assignment_min(cost: np.ndarray) -> tuple[list[int], float]:
-    """O(n^3) shortest-augmenting-path assignment (row potentials u, column
-    potentials v); returns (row -> column, optimal total)."""
-    n = cost.shape[0]
-    rows = cost.tolist()  # Python floats index and subtract faster than numpy scalars
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
-    way = [0] * (n + 1)
+def _assignment_min(cost: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Minimum-cost assignment of every cell of a ``[K, n, n]`` stack.
+
+    O(n^3) shortest-augmenting-path solve (row potentials u, column
+    potentials v; Jonker & Volgenant 1987), run for all K cells in lockstep:
+    each numpy step does, per cell, the float operations of the scalar loop
+    in the same order with the same first-index tie-breaks, so every matching
+    and total is bitwise what a cell solved alone would give. Returns the
+    ``[K, n]`` row -> column matchings and the K totals, each ``math.fsum``'d
+    over its selected entries.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    k, n = cost.shape[0], cost.shape[1]
+    cells = np.arange(k)
+    rows = np.zeros((k * n, n + 1))  # 1-based columns, like the potentials
+    rows[:, 1:] = cost.reshape(k * n, n)
+    # column j's matched row is p[:, j] (1-based, 0 = free; column 0 holds the
+    # row being inserted) and urow[:, j] is that row's potential u[p[j]]; the
+    # ``*f`` names are flat views, indexed by ``at + column``
+    p = np.zeros((k, n + 1), dtype=np.intp)
+    urow = np.zeros((k, n + 1))
+    v = np.zeros((k, n + 1))
+    way = np.zeros((k, n + 1), dtype=np.intp)
+    pf, urowf = p.reshape(-1), urow.reshape(-1)
+    at = cells * (n + 1)
+    row_at = cells * n - 1
     for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        p[:, 0] = i
+        urow[:, 0] = 0.0
+        j0 = np.zeros(k, dtype=np.intp)
+        minv = np.full((k, n + 1), np.inf)
+        free = np.ones((k, n + 1), dtype=bool)  # columns not yet on the search tree
+        freef = free.reshape(-1)
+        live = np.ones(k, dtype=bool)  # cells whose augmenting path is still open
+        # a finished cell keeps stepping until all have finished, on whatever
+        # row its free end column indexes, but with a zero delta, and its way
+        # changes only at free columns, which are off its path
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = rows[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            here = at + j0
+            freef[here] = False
+            cur = rows.take(row_at + pf.take(here), axis=0)
+            cur -= urowf.take(here)[:, None]
+            cur -= v
+            better = cur < minv
+            better &= free
+            minv = np.where(better, cur, minv)
+            way = np.where(better, j0[:, None], way)
+            masked = np.where(free, minv, np.inf)
+            j1 = masked.argmin(axis=1)  # the first column holding the minimum
+            delta = np.where(live, masked.reshape(-1).take(at + j1), 0.0)[:, None]
+            # potentials are never -0.0, so adding a zero leaves them bitwise
+            # unchanged; a used column's minv is never read again
+            step = ~free * delta
+            urow += step
+            v -= step
+            minv -= delta
+            j0 = np.where(live, j1, j0)
+            live &= pf.take(at + j0) != 0
+            if not live.any():
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    match = [0] * n
-    for j in range(1, n + 1):
-        match[p[j] - 1] = j - 1
-    total = math.fsum(rows[i][match[i]] for i in range(n))
-    return match, total
+        wayf = way.reshape(-1)
+        while True:  # augment back along each path; column 0 maps to itself
+            here = at + j0
+            prev = wayf.take(here)
+            back = at + prev
+            pf[here] = pf.take(back)
+            urowf[here] = urowf.take(back)
+            if not prev.any():
+                break
+            j0 = prev
+    match = np.empty((k, n), dtype=np.intp)
+    match[cells[:, None], p[:, 1:] - 1] = np.arange(n)
+    chosen = np.take_along_axis(cost, match[:, :, None], axis=2)[:, :, 0]
+    return match, [math.fsum(row) for row in chosen.tolist()]
 
 
 def hungarian(cost) -> tuple[tuple[int, ...], float]:
@@ -274,24 +310,22 @@ def hungarian(cost) -> tuple[tuple[int, ...], float]:
     if (cost < 0).any():
         raise ValueError("cost matrix must be non-negative")
     n = cost.shape[0]
-    _, best = _assignment_min(cost)
+    best = _assignment_min(cost[None])[1][0]
     # lexicographic refinement: fix rows in order to the lowest column index
-    # that still admits an optimal completion
+    # that still admits an optimal completion, solving every candidate's
+    # completion of a row in one call
     tol = 1e-12 * max(1.0, abs(best))
     chosen: list[int] = []
     free_cols = list(range(n))
     remaining_target = best
     for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for pos, c in enumerate(free_cols):
-            rest_cols = free_cols[:pos] + free_cols[pos + 1 :]
-            if rest_rows:
-                _, sub = _assignment_min(cost[np.ix_(rest_rows, rest_cols)])
-            else:
-                sub = 0.0
+        rest_cols = [free_cols[:pos] + free_cols[pos + 1 :] for pos in range(len(free_cols))]
+        rest = cost[np.arange(i + 1, n)[None, :, None], np.array(rest_cols, dtype=np.intp)[:, None, :]]
+        _, subs = _assignment_min(rest)
+        for c, cols, sub in zip(free_cols, rest_cols, subs):
             if cost[i, c] + sub <= remaining_target + tol:
                 chosen.append(c)
-                free_cols = rest_cols
+                free_cols = cols
                 remaining_target -= cost[i, c]
                 break
         else:  # unreachable unless float drift exceeds tol
@@ -311,24 +345,25 @@ class DistanceReport:
     grand_mean: float
 
 
-def _layer_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Minimal total head-matching EMD per token of one sublayer.
+def _cell_costs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Head-to-head EMD costs of every (sublayer, token) cell, canonically oriented.
 
-    ``pa`` and ``pb`` are ``[H, t, t]``; the ``[t, H, H]`` costs are built in
-    one expression and each token's matrix is solved once, in its canonical
-    orientation (see the module docstring).
+    ``pa`` and ``pb`` are ``[layers, H, t, t]``; returns the ``[layers * t, H,
+    H]`` stack, each cell transposed where that is its canonical orientation
+    (see the module docstring).
     """
-    pa, pb = pa.transpose(1, 0, 2), pb.transpose(1, 0, 2)  # [t, H, t]
-    cost = np.abs(np.cumsum(pa[:, :, None, :] - pb[:, None, :, :], axis=-1)).sum(axis=-1)
-    t = cost.shape[0]
-    flat = cost.reshape(t, -1)
-    flat_t = cost.transpose(0, 2, 1).reshape(t, -1)
+    pa, pb = pa.transpose(0, 2, 1, 3), pb.transpose(0, 2, 1, 3)  # [layers, t, H, t]
+    diff = pa[:, :, :, None, :] - pb[:, :, None, :, :]
+    np.cumsum(diff, axis=-1, out=diff)  # in place: fresh megabyte temporaries cost more than the sums
+    cost = np.abs(diff, out=diff).sum(axis=-1)
+    h = cost.shape[-1]
+    cost = cost.reshape(-1, h, h)
+    cost_t = cost.transpose(0, 2, 1)
+    flat, flat_t = cost.reshape(len(cost), -1), cost_t.reshape(len(cost), -1)
     first = (flat != flat_t).argmax(axis=1)  # 0 when the matrix is symmetric
-    tokens = np.arange(t)
-    use_t = flat_t[tokens, first] < flat[tokens, first]
-    return np.array(
-        [_assignment_min(cost[tok].T if use_t[tok] else cost[tok])[1] for tok in range(t)]
-    )
+    cells = np.arange(len(cost))
+    use_t = flat_t[cells, first] < flat[cells, first]
+    return np.where(use_t[:, None, None], cost_t, cost)
 
 
 def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> DistanceReport:
@@ -336,7 +371,8 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
 
     Sublayers pair by self-attention ordinal (i-th `s` with i-th `s`), so the
     dumps must agree on head count, token count, and number of self-attention
-    sublayers. The grand mean averages the per-(token, layer) minima.
+    sublayers. The grand mean averages the per-(token, layer) minima. All
+    ``s_count * t`` minima come from one solver call; a self pair makes none.
     """
     for attr in ("heads", "t", "s_count"):
         va, vb = getattr(dump_a, attr), getattr(dump_b, attr)
@@ -347,8 +383,8 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
     layers, t = dump_a.s_count, dump_a.t
     distances = np.zeros((layers, t))
     if dump_a is not dump_b:  # a self pair's costs have a zero diagonal: every minimum is 0
-        for i in range(layers):
-            distances[i] = _layer_distances(dump_a.probs[i], dump_b.probs[i])
+        _, totals = _assignment_min(_cell_costs(dump_a.probs, dump_b.probs))
+        distances[:] = np.reshape(totals, (layers, t))
     per_layer = np.array([math.fsum(distances[i]) / t for i in range(layers)])
     grand = math.fsum(distances.reshape(-1)) / (layers * t)
     return DistanceReport(

@@ -106,8 +106,17 @@ class Corpus:
         return len(self.charset) + 1
 
     def encode(self, text: str) -> np.ndarray:
-        unk = self.unknown_id
-        return np.array([self.char_to_id.get(c, unk) for c in text], dtype=np.int64)
+        """Ids of ``text``'s characters, ``unknown_id`` for any outside the charset.
+
+        The charset is sorted, so a character's id is its code point's position
+        among the charset's, found by one ``searchsorted``.
+        """
+        # the sentinel lies above every code point, so each position indexes keys
+        keys = np.array([ord(c) for c in self.charset] + [0x110000], dtype="<u4")
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        ids = np.searchsorted(keys, codes)
+        ids[keys[ids] != codes] = self.unknown_id
+        return ids.astype(np.int64, copy=False)
 
 
 def load_corpus_text(
@@ -285,19 +294,58 @@ def record_to_json_dict(rec: TrialRecord) -> dict:
     }
 
 
+def _json_float(value, what: str) -> float:
+    """A JSON number as a float; a bool is not a number."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
+def _record_field(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be a JSON ``kind`` (a float takes any number)."""
+    if key not in doc:
+        raise ValueError(f"record lacks {key!r}")
+    value = doc[key]
+    if kind is float:
+        return _json_float(value, f"record field {key!r}")
+    if type(value) is not kind:  # exact type: JSON true is not the integer 1
+        raise ValueError(f"record field {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+_RECORD_FIELDS = {
+    "index": int, "ordering": str, "sandwich_k": int, "seed": int, "loss_curve": list,
+    "valid_nats": float, "valid_bpc": float, "valid_ppl": float, "param_count": int,
+}
+
+
 def record_from_json_dict(doc: dict) -> TrialRecord:
-    rec = TrialRecord(
-        ordering=doc["ordering"],
-        sandwich_k=doc["sandwich_k"],
-        seed=doc["seed"],
-        loss_curve=[(int(s), float(l)) for s, l in doc["loss_curve"]],
-        valid_nats=doc["valid_nats"],
-        valid_bpc=doc["valid_bpc"],
-        valid_ppl=doc["valid_ppl"],
-        param_count=doc["param_count"],
-        wall_clock_s=doc.get("meta", {}).get("wall_clock_s", 0.0),
-        index=doc.get("index", -1),
-    )
+    """Inverse of :func:`record_to_json_dict`.
+
+    Raises ``ValueError`` for anything but a JSON object holding every field
+    with its JSON type, an ``index`` that is -1 (no trial) or more, and a
+    ``valid_bpc`` and ``valid_ppl`` consistent with ``valid_nats``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"record must be a JSON object, got {type(doc).__name__}")
+    fields = {key: _record_field(doc, key, kind) for key, kind in _RECORD_FIELDS.items()}
+    if fields["index"] < -1:
+        raise ValueError(f"record index must be >= -1, got {fields['index']}")
+    curve = []
+    for point in fields.pop("loss_curve"):
+        if not (isinstance(point, list) and len(point) == 2 and type(point[0]) is int):
+            raise ValueError(f"record field 'loss_curve' holds {point!r}, not a [step, loss] pair")
+        curve.append((point[0], _json_float(point[1], "a 'loss_curve' loss")))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("record field 'meta' must be a JSON object")
+    wall = _record_field(meta, "wall_clock_s", float) if "wall_clock_s" in meta else 0.0
+    rec = TrialRecord(loss_curve=curve, wall_clock_s=wall, **fields)
     if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
         raise ValueError(f"record bpc inconsistent with nats: {doc}")
     ppl = _perplexity(rec.valid_nats)
@@ -428,34 +476,44 @@ class SearchConfig:
     workers: int = 1
 
 
-def _scan_results(path) -> tuple[dict | None, dict[int, dict], int]:
+def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
     """Parse an existing results file, tolerating a truncated final line.
 
-    Returns (header, trial docs by index, byte offset where clean content
+    Returns (header, trial records by index, byte offset where clean content
     ends). Anything after the first unparseable line is treated as truncated.
+    A line that parses but is not a JSON object, or a trial line that is not
+    a valid record with a non-negative index, raises ``ValueError`` naming
+    the line.
     """
     if not os.path.exists(path):
         return None, {}, 0
     raw = Path(path).read_bytes()
     header = None
-    records: dict[int, dict] = {}
+    records: dict[int, TrialRecord] = {}
     good_end = 0
-    pos = 0
+    lineno = 0
     while True:
-        nl = raw.find(b"\n", pos)
+        nl = raw.find(b"\n", good_end)
         if nl == -1:
             break
-        line = raw[pos:nl]
-        try:
-            doc = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        lineno += 1
+        try:  # UnicodeDecodeError is a ValueError; deep nesting exhausts the parser's stack
+            doc = json.loads(raw[good_end:nl].decode("utf-8"))
+        except (ValueError, RecursionError):
             break
+        if not isinstance(doc, dict):
+            raise ValueError(f"results line {lineno} is not a JSON object")
         if doc.get("kind") == "header":
             header = doc
         elif doc.get("kind") == "trial":
-            records[int(doc["index"])] = doc
+            try:
+                rec = record_from_json_dict(doc)
+            except ValueError as exc:
+                raise ValueError(f"results line {lineno}: {exc}") from None
+            if rec.index < 0:
+                raise ValueError(f"results line {lineno}: trial index must be >= 0, got {rec.index}")
+            records[rec.index] = rec
         good_end = nl + 1
-        pos = nl + 1
     return header, records, good_end
 
 
@@ -475,7 +533,7 @@ def _run_trials(
     except for timestamp metadata.
     """
     fh = None
-    existing: dict[int, dict] = {}
+    existing: dict[int, TrialRecord] = {}
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         header, existing, good_end = _scan_results(out_path)
@@ -510,9 +568,7 @@ def _run_trials(
             fh.flush()
 
     pending = [s for s in specs if s[0] not in existing]
-    done: dict[int, TrialRecord] = {
-        i: record_from_json_dict(doc) for i, doc in existing.items()
-    }
+    done = dict(existing)
     try:
         if workers <= 1:
             for spec in pending:
@@ -593,8 +649,8 @@ def run_sandwich_sweep(
 
 def read_results(path) -> list[TrialRecord]:
     """Load trial records from a results file, sorted by index."""
-    _, docs, _ = _scan_results(path)
-    return [record_from_json_dict(docs[i]) for i in sorted(docs)]
+    _, records, _ = _scan_results(path)
+    return [records[i] for i in sorted(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +765,22 @@ def render_markdown(records: Sequence[TrialRecord]) -> str:
 
 
 def render_svg(records: Sequence[TrialRecord]) -> str:
-    """Scatter of validation perplexity vs sandwich coefficient (or trial index)."""
+    """Scatter of validation perplexity vs sandwich coefficient (or trial index).
+
+    The y range spans the finite perplexities; a diverged record (``inf``)
+    sits on the top edge, above a band that the finite range leaves free.
+    """
     recs = _sorted_records(records)
     use_k = all(r.sandwich_k >= 0 for r in recs)
     xs = [float(r.sandwich_k if use_k else r.index) for r in recs]
     ys = [r.valid_ppl for r in recs]
+    finite = [y for y in ys if math.isfinite(y)]
     x_label = "sandwich coefficient k" if use_k else "trial index"
     width, height = 640, 420
     left, right, top, bottom = 70, 20, 20, 50
+    band = 24 if len(finite) < len(ys) else 0
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -726,7 +788,12 @@ def render_svg(records: Sequence[TrialRecord]) -> str:
         return left + (x - x_lo) / x_span * (width - left - right)
 
     def py(y):
-        return height - bottom - (y - y_lo) / y_span * (height - top - bottom)
+        if not math.isfinite(y):
+            return float(top)
+        return height - bottom - (y - y_lo) / y_span * (height - top - band - bottom)
+
+    y_ticks = [y_lo, y_hi] if finite else []
+    y_ticks += [math.inf] if band else []
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -744,11 +811,12 @@ def render_svg(records: Sequence[TrialRecord]) -> str:
         f'text-anchor="middle">{x_lo:.6g}</text>',
         f'<text x="{width - right}" y="{height - bottom + 16}" font-size="11" '
         f'text-anchor="middle">{x_hi:.6g}</text>',
-        f'<text x="{left - 6}" y="{py(y_lo):.1f}" font-size="11" '
-        f'text-anchor="end">{y_lo:.6g}</text>',
-        f'<text x="{left - 6}" y="{py(y_hi):.1f}" font-size="11" '
-        f'text-anchor="end">{y_hi:.6g}</text>',
     ]
+    for y in y_ticks:
+        parts.append(
+            f'<text x="{left - 6}" y="{py(y):.1f}" font-size="11" '
+            f'text-anchor="end">{y:.6g}</text>'
+        )
     for x, y, r in zip(xs, ys, recs):
         parts.append(
             f'<circle class="record" cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" '

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -441,6 +442,15 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
+def _payload_floats(config: ModelConfig) -> int:
+    """How many float64 values :func:`save_checkpoint` writes for ``config``."""
+    d, inner = config.d, config.ffn_inner
+    total = (config.vocab + config.context + 2) * d  # embeddings, final norm
+    for kind in config.ordering.kinds:
+        total += 2 * d * inner + inner + 3 * d if kind is SublayerKind.FEEDFORWARD else 4 * d * d + 6 * d
+    return total if config.tie_embeddings else total + d * config.vocab
+
+
 def load_checkpoint(path) -> TransformerStack:
     """Read a checkpoint written by :func:`save_checkpoint`; a damaged or
     incomplete file raises ``ValueError``."""
@@ -452,7 +462,10 @@ def load_checkpoint(path) -> TransformerStack:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
+        except RecursionError:  # nesting deeper than the parser's stack
+            raise ValueError("checkpoint header is nested too deeply") from None
         try:
             config = ModelConfig(
                 d=header["d"],
@@ -470,6 +483,9 @@ def load_checkpoint(path) -> TransformerStack:
             raise ValueError(f"checkpoint header lacks {exc}") from None
         except TypeError as exc:  # not a JSON object, or a field of the wrong type
             raise ValueError(f"malformed checkpoint header: {exc}") from None
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < 8 * _payload_floats(config):  # before building, which allocates it all
+            raise ValueError("checkpoint truncated in its parameters")
         model = build_model(config, rng_seed=0)
         for p in model.parameters():
             raw = _read_exact(fh, p.data.size * 8, "parameters")

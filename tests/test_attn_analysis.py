@@ -409,3 +409,152 @@ def test_distance_matrix_structure_and_groups():
 
     with pytest.raises(ValueError):
         aa.distance_matrix(dumps[:1])
+
+
+# -- assignment solver ------------------------------------------------------------------
+
+
+def reference_assignment_min(cost):
+    """The scalar shortest-augmenting-path loop that ``_assignment_min`` runs
+    in lockstep over a stack: one square matrix, (row -> column, total)."""
+    n = cost.shape[0]
+    rows = cost.tolist()
+    INF = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            row = rows[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    match = [0] * n
+    for j in range(1, n + 1):
+        match[p[j] - 1] = j - 1
+    return match, math.fsum(rows[i][match[i]] for i in range(n))
+
+
+def reference_hungarian(cost):
+    """``hungarian`` as one scalar solve per candidate column."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    _, best = reference_assignment_min(cost)
+    tol = 1e-12 * max(1.0, abs(best))
+    chosen, free_cols, remaining = [], list(range(n)), best
+    for i in range(n):
+        for pos, c in enumerate(free_cols):
+            rest_cols = free_cols[:pos] + free_cols[pos + 1 :]
+            sub = reference_assignment_min(cost[np.ix_(range(i + 1, n), rest_cols)])[1]
+            if cost[i, c] + sub <= remaining + tol:
+                chosen.append(c)
+                free_cols = rest_cols
+                remaining -= cost[i, c]
+                break
+    return tuple(chosen), math.fsum(cost[i, c] for i, c in enumerate(chosen))
+
+
+def cost_stack(rng, n, count):
+    """``count`` matrices of side n, cycling through random, quarter-rounded
+    (many ties), all-equal, half-zero and all-zero kinds."""
+    kinds = [
+        lambda: rng.random((n, n)) * 3,
+        lambda: np.round(rng.random((n, n)) * 8) / 4,
+        lambda: np.full((n, n), float(rng.integers(0, 3))),
+        lambda: rng.random((n, n)) * (rng.random((n, n)) < 0.5),
+        lambda: np.zeros((n, n)),
+    ]
+    return np.stack([kinds[c % len(kinds)]() for c in range(count)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_assignment_min_is_bitwise_the_scalar_loop(n):
+    costs = cost_stack(np.random.default_rng(40 + n), n, 1000)
+    match, totals = aa._assignment_min(costs)
+    assert match.shape == (1000, n) and len(totals) == 1000
+    for cell in range(1000):
+        ref_match, ref_total = reference_assignment_min(costs[cell])
+        assert match[cell].tolist() == ref_match
+        assert totals[cell].hex() == ref_total.hex()  # bitwise, signed zeros included
+
+
+def test_assignment_min_of_empty_stacks():
+    match, totals = aa._assignment_min(np.zeros((3, 0, 0)))
+    assert match.shape == (3, 0) and totals == [0.0, 0.0, 0.0]
+    match, totals = aa._assignment_min(np.zeros((0, 4, 4)))
+    assert match.shape == (0, 4) and totals == []
+
+
+def test_hungarian_is_the_per_candidate_reference():
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        cost = cost_stack(rng, trial % 7 + 1, 5)[trial % 5]
+        perm, total = aa.hungarian(cost)
+        ref_perm, ref_total = reference_hungarian(cost)
+        assert perm == ref_perm and total.hex() == ref_total.hex()
+
+
+@pytest.mark.parametrize("heads", [1, 3, 8])
+@pytest.mark.parametrize("kinds", [("random", "random"), ("quarters", "quarters"), ("early", "late")])
+def test_distance_cells_are_bitwise_scalar_solves(heads, kinds):
+    a = tie_heavy_dump(27, heads, kinds[0], model_id="a")
+    b = tie_heavy_dump(28, heads, kinds[1], model_id="b")
+    report = aa.attention_distance(a, b)
+    for i in range(a.s_count):
+        for tok in range(a.t):
+            cost = np.array(
+                [[aa.emd_1d(p, q) for q in b.probs[i, :, tok]] for p in a.probs[i, :, tok]]
+            )
+            flat, flat_t = cost.reshape(-1), cost.T.reshape(-1)
+            differ = np.flatnonzero(flat != flat_t)
+            if differ.size and flat_t[differ[0]] < flat[differ[0]]:
+                cost = cost.T  # the canonical orientation
+            assert report.distances[i, tok] == reference_assignment_min(cost)[1]
+
+
+def test_one_solver_call_per_distinct_pair(monkeypatch):
+    calls = []
+    solve = aa._assignment_min
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(aa, "_assignment_min", counted)
+    dumps = [random_dump(30 + i, s_count=2, heads=3, t=6, model_id=f"m{i}") for i in range(3)]
+    aa.attention_distance(dumps[0], dumps[0])
+    assert calls == []
+    aa.attention_distance(dumps[0], dumps[1])
+    assert calls == [(12, 3, 3)]  # every (sublayer, token) cell in one stack
+    calls.clear()
+    aa.distance_matrix(dumps)
+    assert len(calls) == 3

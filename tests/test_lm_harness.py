@@ -391,3 +391,127 @@ def test_derive_seed_stability():
     assert a != lm.derive_seed(42, 1, "train")
     assert a != lm.derive_seed(42, 0, "arch")
     assert 0 <= a < 2**63
+
+
+# -- encoding, diverged plots and damaged results files ---------------------------------
+
+
+def test_encode_matches_per_character_lookup():
+    corpus = lm.load_corpus_text("hello, world \U0001F600 \ud800 café\n" * 3, (0.5, 0.25, 0.25))
+    text = "héllo \U0001F600\U0001F601 𐏿? \x00￿" + corpus.train_text
+    unk = corpus.unknown_id
+    expected = [corpus.char_to_id.get(c, unk) for c in text]
+    ids = corpus.encode(text)
+    assert ids.dtype == np.int64 and ids.tolist() == expected
+    assert unk in expected and corpus.char_to_id["\U0001F600"] in expected
+    assert corpus.encode("").shape == (0,)
+    assert corpus.train_ids.tolist() == [corpus.char_to_id[c] for c in corpus.train_text]
+
+
+def _svg_coordinates(svg):
+    root = ET.fromstring(svg)
+    return [
+        (el.tag.split("}")[1], name, el.get(name))
+        for el in root.iter()
+        for name in ("x", "y", "cx", "cy", "x1", "y1", "x2", "y2")
+        if el.get(name) is not None
+    ]
+
+
+@pytest.mark.parametrize("nats", [(1.2, 1.5, 800.0), (800.0, 900.0)])
+def test_render_svg_places_diverged_records_on_the_top_edge(nats):
+    recs = [
+        lm.TrialRecord.build(
+            ordering="sfsf", sandwich_k=-1, seed=i, loss_curve=[(10, 2.0)],
+            valid_nats=n, param_count=768, wall_clock_s=1.0, index=i,
+        )
+        for i, n in enumerate(nats)
+    ]
+    svg = lm.render_svg(recs)
+    coords = _svg_coordinates(svg)
+    assert all(math.isfinite(float(value)) for _, _, value in coords)
+    cy = {r.valid_nats: float(el.get("cy")) for r, el in zip(
+        recs, [el for el in ET.fromstring(svg).iter() if el.get("class") == "record"]
+    )}
+    top = min(float(v) for tag, name, v in coords if tag == "line" and name in ("y1", "y2"))
+    for n, y in cy.items():
+        assert (y == top) == (n > 709.0)
+    if nats[0] < 709.0:  # the finite records keep their own, distinct heights
+        assert top < cy[1.5] < cy[1.2]
+
+
+def _results_file(tmp_path, edit=None):
+    recs = [
+        lm.TrialRecord.build(
+            ordering="sfsf", sandwich_k=-1, seed=i, loss_curve=[(10, 2.5)],
+            valid_nats=1.0 + i, param_count=768, wall_clock_s=1.0, index=i,
+        )
+        for i in range(2)
+    ]
+    lines = [json.dumps({"v": 1, "kind": "header", "mode": "permutation"})]
+    for rec in recs:
+        doc = lm.record_to_json_dict(rec)
+        if edit is not None and rec.index == 1:
+            doc = edit(doc)
+        lines.append(json.dumps(doc))
+    path = tmp_path / "results.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, recs
+
+
+def _without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _with(**fields):
+    def edit(doc):
+        doc.update(fields)
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [1, 2], "line 3 is not a JSON object"),
+        (lambda doc: "trial", "line 3 is not a JSON object"),
+        (_without("ordering"), "line 3: record lacks 'ordering'"),
+        (_without("index"), "line 3: record lacks 'index'"),
+        (_with(valid_nats="a"), "line 3: record field 'valid_nats' must be a JSON number"),
+        (_with(param_count=768.0), "line 3: record field 'param_count' must be a JSON int"),
+        (_with(seed=True), "line 3: record field 'seed' must be a JSON int"),
+        (_with(loss_curve=[[10]]), "line 3: record field 'loss_curve'"),
+        (_with(loss_curve=[[10.5, 2.0]]), "line 3: record field 'loss_curve'"),
+        (_with(loss_curve=[[10, "2"]]), "line 3: a 'loss_curve' loss"),
+        (_with(valid_nats=10**400), "line 3: record field 'valid_nats' is out of float range"),
+        (_with(meta=[]), "line 3: record field 'meta'"),
+        (_with(index=None), "line 3: record field 'index' must be a JSON int"),
+        (_with(index=1.5), "line 3: record field 'index' must be a JSON int"),
+        (_with(index=True), "line 3: record field 'index' must be a JSON int"),
+        (_with(index=-1), "line 3: trial index must be >= 0"),
+    ],
+)
+def test_read_results_fails_closed_naming_the_line(tmp_path, edit, message):
+    path, _ = _results_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        lm.read_results(path)
+
+
+def test_read_results_tolerates_a_truncated_final_line(tmp_path):
+    path, recs = _results_file(tmp_path)
+    full = path.read_text()
+    path.write_text(full[: len(full) - 20])
+    assert lm.read_results(path) == recs[:1]
+    path.write_text(full + '{"kind": "trial", "ind')
+    assert lm.read_results(path) == recs
+    path.write_text(full + "[" * 100_000 + "\n")  # nested too deeply to parse: truncated
+    assert lm.read_results(path) == recs
+
+
+def test_record_from_json_dict_rejects_a_non_object():
+    for doc in ([1, 2], None, "x"):
+        with pytest.raises(ValueError, match="JSON object"):
+            lm.record_from_json_dict(doc)
