@@ -139,6 +139,26 @@ def _template_from(v: _Validator) -> lm_harness.TrainTemplate | None:
     return lm_harness.TrainTemplate(**kwargs)
 
 
+def _training_inputs(v: _Validator):
+    """Template and corpus of a training command; splits no trial can use fail."""
+    template = _template_from(v)
+    corpus = _resolve_corpus(v)
+    if corpus is not None:
+        n_valid, n_train = corpus.valid_ids.size, corpus.train_ids.size
+        if n_valid < 2:
+            v.fail(
+                "split_fractions",
+                f"validation split holds {n_valid} characters, evaluation needs at least 2",
+            )
+        if template is not None and n_train < template.context + 1:
+            v.fail(
+                "split_fractions",
+                f"train split holds {n_train} characters, "
+                f"train.context={template.context} needs at least {template.context + 1}",
+            )
+    return template, corpus
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -219,8 +239,7 @@ def _cmd_train(args) -> int:
             ordering = parse_ordering(ordering_text)
         except OrderingError as e:
             v.fail("ordering", str(e))
-    template = _template_from(v)
-    corpus = _resolve_corpus(v)
+    template, corpus = _training_inputs(v)
     seed = v.get("seed", int, default=0)
     sandwich_k = v.get("sandwich_k", int, default=-1)
     out = v.get("out", str)
@@ -262,8 +281,7 @@ def _cmd_search(args) -> int:
     master_seed = v.get("master_seed", int, default=0)
     workers = v.get("workers", int, default=1, minimum=1)
     out = v.get("out", str, required=True)
-    template = _template_from(v)
-    corpus = _resolve_corpus(v)
+    template, corpus = _training_inputs(v)
     v.raise_if_failed()
     if args.seed is not None:
         master_seed = args.seed
@@ -291,7 +309,10 @@ def _cmd_sweep(args) -> int:
     k_values = v.doc.get("k_values")
     if k_values is None and n is not None:
         k_values = list(range(n))
-    if not (isinstance(k_values, list) and all(isinstance(k, int) for k in k_values)):
+    if not (
+        isinstance(k_values, list)
+        and all(isinstance(k, int) and not isinstance(k, bool) for k in k_values)
+    ):
         v.fail("k_values", "expected a list of integers")
     elif n is not None:
         for k in k_values:
@@ -300,8 +321,7 @@ def _cmd_sweep(args) -> int:
     master_seed = v.get("master_seed", int, default=0)
     workers = v.get("workers", int, default=1, minimum=1)
     out = v.get("out", str, required=True)
-    template = _template_from(v)
-    corpus = _resolve_corpus(v)
+    template, corpus = _training_inputs(v)
     v.raise_if_failed()
     if args.seed is not None:
         master_seed = args.seed

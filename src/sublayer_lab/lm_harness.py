@@ -480,10 +480,12 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
     """Parse an existing results file, tolerating a truncated final line.
 
     Returns (header, trial records by index, byte offset where clean content
-    ends). Anything after the first unparseable line is treated as truncated.
-    A line that parses but is not a JSON object, or a trial line that is not
-    a valid record with a non-negative index, raises ``ValueError`` naming
-    the line.
+    ends). Only what a killed writer can leave is taken for truncated: a
+    final segment without a newline, or a final line that does not parse.
+    Every other defect raises ``ValueError`` naming the line: an unparseable
+    line with content after it, a line that is not a JSON object, a ``kind``
+    other than ``header`` or ``trial``, a header anywhere but line 1, and a
+    trial that is not a valid record or repeats an index.
     """
     if not os.path.exists(path):
         return None, {}, 0
@@ -500,19 +502,30 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
         try:  # UnicodeDecodeError is a ValueError; deep nesting exhausts the parser's stack
             doc = json.loads(raw[good_end:nl].decode("utf-8"))
         except (ValueError, RecursionError):
+            if nl + 1 < len(raw):
+                raise ValueError(
+                    f"results line {lineno} does not parse and is not the last line"
+                ) from None
             break
         if not isinstance(doc, dict):
             raise ValueError(f"results line {lineno} is not a JSON object")
-        if doc.get("kind") == "header":
+        kind = doc.get("kind")
+        if kind == "header":
+            if lineno != 1:
+                raise ValueError(f"results line {lineno}: a header may only be line 1")
             header = doc
-        elif doc.get("kind") == "trial":
+        elif kind == "trial":
             try:
                 rec = record_from_json_dict(doc)
             except ValueError as exc:
                 raise ValueError(f"results line {lineno}: {exc}") from None
             if rec.index < 0:
                 raise ValueError(f"results line {lineno}: trial index must be >= 0, got {rec.index}")
+            if rec.index in records:
+                raise ValueError(f"results line {lineno}: trial index {rec.index} repeats")
             records[rec.index] = rec
+        else:
+            raise ValueError(f"results line {lineno}: unknown kind {kind!r}")
         good_end = nl + 1
     return header, records, good_end
 
@@ -633,6 +646,8 @@ def run_sandwich_sweep(
     """One trial per sandwich coefficient, identical hyperparameters throughout."""
     ks = list(k_values)
     for k in ks:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"sandwich coefficient must be an int, got {k!r}")
         if not 0 <= k <= n - 1:
             raise ValueError(f"sandwich coefficient k={k} out of range [0, {n - 1}]")
     specs = [(i, sandwich(n, k), k) for i, k in enumerate(ks)]

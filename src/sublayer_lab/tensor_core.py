@@ -9,9 +9,20 @@ Besides the primitive ops there are three fused ones, each a single tape
 node with a hand-written backward: ``attention`` (multi-head scaled
 dot-product attention with its four projections; self-attention projects
 Q, K and V in one GEMM), ``linear`` and ``linear_relu``. A tape owns its
-nodes and their outputs; a tensor refers back to its tape only weakly, so
-dropping the tape frees a step's activations without a garbage-collector
-pass.
+nodes and their outputs; a tensor refers back to its tape only weakly (the
+tape hands the same weak reference to every tensor it records), so dropping
+the tape frees a step's activations without a garbage-collector pass.
+
+``attention`` keeps its scores key-major, [keys, ..., heads, queries], so
+the softmax's max, sum and division, and its backward's sum over keys, are
+vectorised passes along axis 0 instead of reductions along a short last
+axis; the [..., heads, queries, keys] probabilities are a view of that
+buffer. Those two sums add the keys in order rather than numpy's pairwise
+order, which moves results by about 1e-15 relative; it is the only rounding
+that differs from a last-axis softmax. The head products are written
+straight into the [N, d] rows the projections read. ``layer_norm`` and
+gradient reduction call ``np.add.reduce`` directly: the same float
+operations, in the same order, as ``ndarray.mean``/``sum``.
 
 ``adam_step`` keeps the parameters and both Adam moments in one flat buffer
 each: after the first step every parameter's ``data`` is a view into the
@@ -54,7 +65,6 @@ __all__ = [
     "attention",
     "OptimizerState",
     "adam_step",
-    "zero_grads",
     "finite_difference_check",
 ]
 
@@ -127,6 +137,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._ref = weakref.ref(self)  # handed to every tensor recorded here
 
     def __enter__(self) -> "Tape":
         _active().append(self)
@@ -166,7 +177,7 @@ def no_grad():
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     tape = _current_tape()
     if tape is not None:
-        out._tape = weakref.ref(tape)
+        out._tape = tape._ref
         tape.nodes.append(_Node(out, inputs, backward_fn))
     return out
 
@@ -175,11 +186,11 @@ def _reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Undo numpy broadcasting: sum gradient down to the operand's shape."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    for _ in range(g.ndim - len(shape)):
+        g = np.add.reduce(g, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g
 
 
@@ -204,11 +215,6 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
             if g is None:
                 continue
             tensor.grad = g if tensor.grad is None else tensor.grad + g
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +359,36 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = centered * ivar
-    out = Tensor(gain.data * xhat + bias.data)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Means are ``np.add.reduce`` then a division by the axis length, the same
+    float operations as ``ndarray.mean``, run in place where they can be.
+    """
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu
+    y = xhat * xhat  # the squares, then the output
+    ivar = np.add.reduce(y, axis=-1, keepdims=True)  # the variance, then its inverse root
+    ivar /= n
+    ivar += eps
+    np.sqrt(ivar, out=ivar)
+    np.divide(1.0, ivar, out=ivar)
+    xhat *= ivar
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
         dxhat = g * gain.data
-        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        mean /= n
+        dx = dxhat - mean
+        dxhat *= xhat
+        mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        mean /= n
+        np.multiply(xhat, mean, out=dxhat)
+        dx -= dxhat
         dx *= ivar
         dgain = _reduce_to_shape(g * xhat, gain.data.shape)
         dbias = _reduce_to_shape(g, bias.data.shape)
@@ -456,14 +480,17 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _linear(x, w, b, relu_out=True)
 
 
-def _split_heads(a: np.ndarray, lead: tuple, t: int, heads: int) -> np.ndarray:
-    # [N, d] rows of [*lead, t] -> [*lead, heads, t, d/heads] (a view)
-    return np.swapaxes(a.reshape(*lead, t, heads, -1), -2, -3)
+def _heads(a: np.ndarray, shape: tuple, heads: int) -> list[np.ndarray]:
+    """[*lead, heads, t, d/heads] views of each d-column block of ``a``.
 
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    # [..., heads, t, hd] -> [N, heads*hd]
-    return np.swapaxes(a, -2, -3).reshape(-1, a.shape[-3] * a.shape[-1])
+    ``a`` holds [N, k*d] rows for an input shaped ``shape`` = [*lead, t, d];
+    products written through the views land in ``a``.
+    """
+    *lead, t, d = shape
+    return [
+        np.swapaxes(a[:, i : i + d].reshape(*lead, t, heads, -1), -2, -3)
+        for i in range(0, a.shape[1], d)
+    ]
 
 
 def attention(
@@ -491,6 +518,9 @@ def attention(
     otherwise Q comes from one and K, V from another with ``[wk | wv]``.
     ``capture``, when given, receives the [..., heads, t, m] post-softmax
     probabilities.
+
+    The scores live key-major, [m, ..., heads, t], and the softmax runs along
+    axis 0 (see the module docstring for its rounding).
     """
     d = wq.data.shape[0]
     t, m = queries.data.shape[-2], keys_values.data.shape[-2]
@@ -510,51 +540,63 @@ def attention(
         w = np.concatenate([p.data for p in ws], axis=1)
         y = x2 @ w
         y += np.concatenate([p.data for p in bs])
-        projections += [y[:, i * d : (i + 1) * d] for i in range(len(ws))]
-        saved.append((x.data.shape, x2, w, len(ws)))
-    lead_q, lead_kv = queries.data.shape[:-2], keys_values.data.shape[:-2]
-    q = _split_heads(projections[0], lead_q, t, heads)
-    k = _split_heads(projections[1], lead_kv, m, heads)
-    v = _split_heads(projections[2], lead_kv, m, heads)
+        projections += _heads(y, x.data.shape, heads)
+        saved.append((x.data.shape, x2, w))
+    q, k, v = projections
+    lead, lead_kv = queries.data.shape[:-2], keys_values.data.shape[:-2]
+    if lead != lead_kv:
+        lead = np.broadcast_shapes(lead, lead_kv)
+    shape = (*lead, t, d)
     scale = 1.0 / math.sqrt(d // heads)
-    probs = np.matmul(q, np.swapaxes(k, -1, -2))  # softmax in place from here
-    probs *= scale
+    scores = np.empty((m, *lead, heads, t))  # softmax in place from here
+    key_last = (*range(1, scores.ndim), 0)
+    probs = scores.transpose(key_last)  # [*lead, heads, t, m]
+    np.matmul(q, np.swapaxes(k, -1, -2), out=probs)
+    scores *= scale
     if mask is not None:
-        np.copyto(probs, -np.inf, where=~mask)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+        np.copyto(scores, -np.inf, where=~mask.T.reshape(m, *[1] * (len(lead) + 1), t))
+    scores -= np.maximum.reduce(scores, axis=0)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=0)
     if capture is not None:
         capture(probs)
-    ctx2 = _merge_heads(np.matmul(probs, v))
+    ctx2 = np.empty((math.prod(shape[:-1]), d))
+    np.matmul(probs, v, out=_heads(ctx2, shape, heads)[0])
     y = ctx2 @ wo.data
     y += bo.data
-    lead = probs.shape[:-3]
-    out = Tensor(y.reshape(*lead, t, d))
+    out = Tensor(y.reshape(shape))
 
     def bwd(g):
         g2 = g.reshape(-1, d)
-        gctx = _split_heads(g2 @ wo.data.T, lead, t, heads)
-        gz = np.matmul(gctx, np.swapaxes(v, -1, -2))  # d loss / d probs, then d scores
-        gz -= (gz * probs).sum(axis=-1, keepdims=True)
-        gz *= probs
-        gz *= scale
-        # leading axes broadcast between queries and keys_values: sum back
-        gq = _reduce_to_shape(np.matmul(gz, k), q.shape)
-        gk = _reduce_to_shape(np.matmul(np.swapaxes(gz, -1, -2), q), k.shape)
-        gv = _reduce_to_shape(np.matmul(np.swapaxes(probs, -1, -2), gctx), v.shape)
-        gproj = [_merge_heads(gq), _merge_heads(gk), _merge_heads(gv)]
-        gxs, gws, gbs, i = [], [], [], 0
-        for shape, x2, w, n in saved:
-            gy = np.concatenate(gproj[i : i + n], axis=1)
-            i += n
-            gxs.append((gy @ w.T).reshape(shape))
-            gw, gb = x2.T @ gy, gy.sum(axis=0)
-            gws += [gw[:, j * d : (j + 1) * d] for j in range(n)]
-            gbs += [gb[j * d : (j + 1) * d] for j in range(n)]
+        (gctx,) = _heads(g2 @ wo.data.T, shape, heads)
+        gscores = np.empty_like(scores)  # d loss / d probs, then d scores
+        gz = gscores.transpose(key_last)
+        np.matmul(gctx, np.swapaxes(v, -1, -2), out=gz)
+        gscores -= np.add.reduce(gscores * scores, axis=0)
+        gscores *= scores
+        gscores *= scale
+        gys = [np.empty((x2.shape[0], w.shape[1])) for _, x2, w in saved]
+        gq, gk, gv = [
+            h for (x_shape, _, _), gy in zip(saved, gys) for h in _heads(gy, x_shape, heads)
+        ]
+        for a, b, gh in (
+            (gz, k, gq),
+            (np.swapaxes(gz, -1, -2), q, gk),
+            (np.swapaxes(probs, -1, -2), gctx, gv),
+        ):
+            if gh.shape[:-3] == lead:
+                np.matmul(a, b, out=gh)
+            else:  # leading axes broadcast between queries and keys_values: sum back
+                gh[...] = _reduce_to_shape(np.matmul(a, b), gh.shape)
+        gxs, gws, gbs = [], [], []
+        for (x_shape, x2, w), gy in zip(saved, gys):
+            gxs.append((gy @ w.T).reshape(x_shape))
+            gw, gb = x2.T @ gy, np.add.reduce(gy, axis=0)
+            gws += [gw[:, j : j + d] for j in range(0, w.shape[1], d)]
+            gbs += [gb[j : j + d] for j in range(0, w.shape[1], d)]
         if len(gxs) == 1:
             gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
-        return (*gxs, *gws, ctx2.T @ g2, *gbs, g2.sum(axis=0))
+        return (*gxs, *gws, ctx2.T @ g2, *gbs, np.add.reduce(g2, axis=0))
 
     return _record(out, (queries, keys_values, wq, wk, wv, wo, bq, bk, bv, bo), bwd)
 

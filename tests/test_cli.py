@@ -300,3 +300,70 @@ def test_runtime_failure_exits_1(tmp_path, tiny_corpus, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "sublayer-lab" in capsys.readouterr().out
+
+
+def test_sweep_boolean_or_float_coefficients_exit_2(tmp_path, tiny_corpus, capsys):
+    out = tmp_path / "sweep.jsonl"
+    cfg_path = tmp_path / "sweep.json"
+    for k_values in ([True, False], [0, 1.0]):
+        cfg_path.write_text(json.dumps({
+            "n": 3, "k_values": k_values, "train": train_block(),
+            "corpus": str(tiny_corpus), "out": str(out),
+        }))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "config error: k_values" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "search", "sweep"])
+def test_unusable_splits_exit_2_before_training(tmp_path, command, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(PANGRAM[:100])
+    fields = {
+        "train": {"ordering": "sf"},
+        "search": {"mode": "permutation", "trials": 2, "n_s": 1, "n_f": 1},
+        "sweep": {"n": 2},
+    }[command]
+    cfg_path = tmp_path / "cfg.json"
+    for fractions, messages in (
+        ([1.0, 0.0, 0.0], ["validation split holds 0 characters"]),
+        ([0.99, 0.01, 0.0], ["validation split holds 1 characters"]),
+        ([0.1, 0.5, 0.4], ["train split holds 10 characters, train.context=12 needs at least 13"]),
+        ([0.1, 0.0, 0.9], ["validation split holds 0", "train split holds 10"]),
+    ):
+        cfg_path.write_text(json.dumps({
+            **fields, "train": train_block(), "corpus": str(corpus),
+            "split_fractions": fractions, "out": 5,
+        }))
+        assert main([command, "--config", str(cfg_path)]) == 2, fractions
+        err = capsys.readouterr().err
+        assert "config error: out: expected str" in err  # listed with the other errors
+        for message in messages:
+            assert f"config error: split_fractions: {message}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "corpus.txt"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda line: line[: line.rindex("}")],  # closing brace removed
+        lambda line: line.replace('"kind"', '"kinx"', 1),
+    ],
+    ids=["closing_brace_removed", "kind_key_changed"],
+)
+def test_resume_into_a_file_damaged_mid_way_exits_1_unchanged(tmp_path, tiny_corpus, capsys, damage):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "search.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "permutation", "trials": 3, "n_s": 1, "n_f": 1,
+        "train": train_block(steps=2), "corpus": str(tiny_corpus), "out": str(out),
+    }))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    lines = out.read_text().splitlines()
+    lines[2] = damage(lines[2])  # the second of three records
+    out.write_text("\n".join(lines) + "\n")
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg_path)]) == 1
+    assert "results line 3" in capsys.readouterr().err
+    assert out.read_bytes() == before

@@ -515,3 +515,39 @@ def test_record_from_json_dict_rejects_a_non_object():
     for doc in ([1, 2], None, "x"):
         with pytest.raises(ValueError, match="JSON object"):
             lm.record_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with(index=0), "line 3: trial index 0 repeats"),
+        (_with(kind="trail"), "line 3: unknown kind 'trail'"),
+        (_without("kind"), "line 3: unknown kind None"),
+        (lambda doc: {"v": 1, "kind": "header"}, "line 3: a header may only be line 1"),
+    ],
+)
+def test_read_results_rejects_damage_mid_file(tmp_path, edit, message):
+    path, _ = _results_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        lm.read_results(path)
+
+
+def test_read_results_rejects_an_unparseable_line_before_the_last(tmp_path):
+    path, recs = _results_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    # the closing brace of a record removed: fatal mid-file, truncation at the end
+    path.write_text(lines[0] + lines[1].replace("}\n", "\n") + lines[2])
+    with pytest.raises(ValueError, match="line 2 does not parse and is not the last line"):
+        lm.read_results(path)
+    path.write_text(lines[0] + lines[1] + lines[2].replace("}\n", "\n"))
+    assert lm.read_results(path) == recs[:1]
+    path.write_text("".join([lines[0], lines[0], *lines[1:]]))
+    with pytest.raises(ValueError, match="line 2: a header may only be line 1"):
+        lm.read_results(path)
+
+
+def test_sweep_rejects_non_integer_coefficients():
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    for k in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="must be an int"):
+            lm.run_sandwich_sweep(3, [0, k], tiny_template(), corpus)

@@ -104,6 +104,20 @@ def test_damaged_valid_files_are_read_or_rejected(kind, edit, valid_files, scrat
     read_or_reject(kind, data[:start] + patch + data[stop:], scratch)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edit=st.data())
+def test_damage_to_a_middle_results_line_never_drops_a_record(edit, valid_files, scratch):
+    header, first, second = valid_files["results"].decode().splitlines(keepends=True)
+    start = edit.draw(st.integers(0, len(first) - 2))
+    stop = edit.draw(st.integers(start + 1, len(first) - 1))  # the newline stays
+    scratch.write_text(header + first[:start] + first[stop:] + second)
+    try:
+        records = lm.read_results(scratch)
+    except ValueError:
+        return
+    assert len(records) == 2
+
+
 def test_deeply_nested_json_raises_value_error(valid_files, scratch):
     ckpt = valid_files["checkpoint"]
     deep = DEEP.encode()

@@ -641,3 +641,166 @@ def test_fused_linear_shape_errors():
         tc.linear(Tensor(rand(3, 4)), Tensor(rand(5, 2)), Tensor(rand(2)))
     with pytest.raises(ValueError):
         tc.linear(Tensor(rand(3, 4)), Tensor(rand(4, 2)), Tensor(rand(3)))
+
+
+# -- reference kernels ---------------------------------------------------------------
+# The layer-norm and attention bodies as they were before the key-major softmax,
+# kept as references: layer norm must match bit for bit, attention within the
+# rounding of its sum over keys.
+
+
+def _reference_reduce_to_shape(g, shape):
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def _reference_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = centered * ivar
+
+    def bwd(g):
+        dxhat = g * gain
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx *= ivar
+        dgain = _reference_reduce_to_shape(g * xhat, gain.shape)
+        return dx, dgain, _reference_reduce_to_shape(g, bias.shape)
+
+    return gain * xhat + bias, bwd
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 16), (64, 16, 16), (8, 32, 64), (12, 24)])
+def test_layer_norm_is_bitwise_the_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    x, pick = Tensor(rng.normal(size=shape) * 3.0 + 1.0), Tensor(rng.normal(size=shape))
+    gain, bias = Tensor(rng.normal(size=shape[-1])), Tensor(rng.normal(size=shape[-1]))
+    out, grads = _run_with_grads(lambda: layer_norm(x, gain, bias), [x, gain, bias], pick)
+    ref_out, ref_bwd = _reference_layer_norm(x.data, gain.data, bias.data)
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_bwd(pick.data)):  # sum_all(mul(out, pick)) feeds back pick
+        assert g.shape == ref.shape and np.array_equal(g, ref)
+
+
+def _reference_fused_attention(xq, xkv, ws, heads, mask, self_attn):
+    """Forward output, probabilities and backward of the last-axis softmax kernel."""
+    wq, wk, wv, wo, bq, bk, bv, bo = ws
+    d = wq.shape[0]
+    t, m = xq.shape[-2], xkv.shape[-2]
+
+    def split_heads(a, lead, length):
+        return np.swapaxes(a.reshape(*lead, length, heads, -1), -2, -3)
+
+    def merge_heads(a):
+        return np.swapaxes(a, -2, -3).reshape(-1, a.shape[-3] * a.shape[-1])
+
+    if self_attn:
+        groups = ((xq, (wq, wk, wv), (bq, bk, bv)),)
+    else:
+        groups = ((xq, (wq,), (bq,)), (xkv, (wk, wv), (bk, bv)))
+    projections, saved = [], []
+    for x, w_group, b_group in groups:
+        x2 = x.reshape(-1, d)
+        w = np.concatenate(w_group, axis=1)
+        y = x2 @ w
+        y += np.concatenate(b_group)
+        projections += [y[:, i * d : (i + 1) * d] for i in range(len(w_group))]
+        saved.append((x.shape, x2, w, len(w_group)))
+    q = split_heads(projections[0], xq.shape[:-2], t)
+    k = split_heads(projections[1], xkv.shape[:-2], m)
+    v = split_heads(projections[2], xkv.shape[:-2], m)
+    scale = 1.0 / math.sqrt(d // heads)
+    probs = np.matmul(q, np.swapaxes(k, -1, -2))
+    probs *= scale
+    if mask is not None:
+        np.copyto(probs, -np.inf, where=~mask)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx2 = merge_heads(np.matmul(probs, v))
+    y = ctx2 @ wo
+    y += bo
+    lead = probs.shape[:-3]
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        gctx = split_heads(g2 @ wo.T, lead, t)
+        gz = np.matmul(gctx, np.swapaxes(v, -1, -2))
+        gz -= (gz * probs).sum(axis=-1, keepdims=True)
+        gz *= probs
+        gz *= scale
+        gq = _reference_reduce_to_shape(np.matmul(gz, k), q.shape)
+        gk = _reference_reduce_to_shape(np.matmul(np.swapaxes(gz, -1, -2), q), k.shape)
+        gv = _reference_reduce_to_shape(np.matmul(np.swapaxes(probs, -1, -2), gctx), v.shape)
+        gproj = [merge_heads(gq), merge_heads(gk), merge_heads(gv)]
+        gxs, gws, gbs, i = [], [], [], 0
+        for shape, x2, w, n in saved:
+            gy = np.concatenate(gproj[i : i + n], axis=1)
+            i += n
+            gxs.append((gy @ w.T).reshape(shape))
+            gw, gb = x2.T @ gy, gy.sum(axis=0)
+            gws += [gw[:, j * d : (j + 1) * d] for j in range(n)]
+            gbs += [gb[j * d : (j + 1) * d] for j in range(n)]
+        return (*gxs, *gws, ctx2.T @ g2, *gbs, g2.sum(axis=0))
+
+    return y.reshape(*lead, t, d), probs, bwd
+
+
+REFERENCE_ATTENTION_CASES = [
+    (self_attn, layout, heads, masked, t)
+    for self_attn, layout in (
+        (True, "unbatched"), (True, "batched"),
+        (False, "unbatched"), (False, "batched"), (False, "shared_memory"),
+    )
+    for heads in (1, 2, 4)
+    for masked in (False, True)
+    for t in (1, 7, 16, 32)
+]
+
+
+@pytest.mark.parametrize("self_attn,layout,heads,masked,t", REFERENCE_ATTENTION_CASES)
+def test_attention_matches_the_last_axis_reference(self_attn, layout, heads, masked, t):
+    rng = np.random.default_rng(1000 + t + 10 * heads)
+    d, m = 16, (t if self_attn else 5)
+    q_lead = () if layout == "unbatched" else (3,)
+    kv_lead = (3,) if layout == "batched" else ()
+    xq = Tensor(rng.normal(size=(*q_lead, t, d)))
+    xkv = xq if self_attn else Tensor(rng.normal(size=(*kv_lead, m, d)))
+    ws = [Tensor(rng.normal(size=(d, d)) * 0.5) for _ in range(4)]
+    ws += [Tensor(rng.normal(size=d) * 0.1) for _ in range(4)]
+    mask = np.tril(np.ones((t, m), dtype=bool)) if masked else None
+    pick = Tensor(rng.normal(size=(*q_lead, t, d)))
+    inputs = [xq] + ([] if self_attn else [xkv]) + ws
+    captured = []
+    out, grads = _run_with_grads(
+        lambda: tc.attention(xq, xkv, *ws, heads, mask, captured.append), inputs, pick
+    )
+    ref_out, ref_probs, ref_bwd = _reference_fused_attention(
+        xq.data, xkv.data, [w.data for w in ws], heads, mask, self_attn
+    )
+    ref_grads = ref_bwd(pick.data)
+
+    def close(a, ref):  # relative to the largest entry; exact where that is 0 (one key)
+        return np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    assert out.shape == ref_out.shape and close(out, ref_out)
+    names = ["x"] + ([] if self_attn else ["memory"]) + ["wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"]
+    for name, g, ref in zip(names, grads, ref_grads, strict=True):
+        assert g.shape == ref.shape, name
+        if name == "bk":  # its true gradient is 0: rounding noise on the scale of bq's
+            bq_scale = np.abs(ref_grads[names.index("bq")]).max()
+            assert np.abs(g - ref).max() <= 1e-13 * bq_scale, name
+        else:
+            assert close(g, ref), name
+    (probs,) = captured
+    assert probs.shape == ref_probs.shape and np.abs(probs - ref_probs).max() < 1e-13
+    if masked:
+        assert np.all(probs[..., ~mask] == 0.0)
