@@ -352,8 +352,14 @@ def _cmd_capture(args) -> int:
 
     model = load_checkpoint(ckpt)
     stream = getattr(corpus, f"{split}_ids")
+    context = model.config.context
+    if length > context:
+        v.fail("length", f"must be <= the checkpoint's context {context}, got {length}")
     if length == 0:
-        length = min(model.config.context, stream.size - offset)
+        if offset >= stream.size:
+            v.fail("offset", f"must be < the {split} split's length {stream.size}, got {offset}")
+        length = min(context, stream.size - offset)
+    v.raise_if_failed()
     if offset + length > stream.size:
         raise ValueError(
             f"capture window [{offset}, {offset + length}) exceeds {split} length {stream.size}"
@@ -378,10 +384,19 @@ def _cmd_distance(args) -> int:
     groups = v.doc.get("groups")
     if groups is not None and not isinstance(groups, dict):
         v.fail("groups", "expected an object mapping model_id to group label")
+    elif groups:
+        for mid, label in groups.items():
+            if not isinstance(label, str):
+                v.fail("groups", f"label of {mid!r} must be a string, got {label!r}")
     out = v.get("out", str)
     v.raise_if_failed()
 
     dumps = [attn_analysis.load_dump(p) for p in paths]
+    if groups:
+        for mid in dict.fromkeys(dump.model_id for dump in dumps):
+            if mid not in groups:
+                v.fail("groups", f"no group label for dumped model_id {mid!r}")
+        v.raise_if_failed()
     table = attn_analysis.distance_matrix(dumps)
     print("model_id\t" + "\t".join(table.model_ids))
     for mid, row in zip(table.model_ids, table.grand_means):

@@ -1,11 +1,18 @@
 import os
 import re
+from pathlib import Path
 
 # Pin BLAS to one thread before numpy loads: the matrices here are tiny, so
 # threading only adds overhead and run-to-run timing noise.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+# pytest's ``pythonpath`` setting reaches this process only; child processes
+# that run ``python -m sublayer_lab`` from an uninstalled checkout find the
+# package through the environment.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 import pytest  # noqa: E402
 

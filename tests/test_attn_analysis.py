@@ -558,3 +558,68 @@ def test_one_solver_call_per_distinct_pair(monkeypatch):
     calls.clear()
     aa.distance_matrix(dumps)
     assert len(calls) == 3
+
+
+# -- cell costs -------------------------------------------------------------------
+
+
+def reference_cell_costs(pa, pb):
+    """The cost body that cumulatively summed every (head, head') difference,
+    before costs came from per-dump CDFs: ``[layers * t, H, H]``, unoriented."""
+    pa, pb = pa.transpose(0, 2, 1, 3), pb.transpose(0, 2, 1, 3)  # [layers, t, H, t]
+    diff = pa[:, :, :, None, :] - pb[:, :, None, :, :]
+    np.cumsum(diff, axis=-1, out=diff)
+    cost = np.abs(diff, out=diff).sum(axis=-1)
+    h = cost.shape[-1]
+    return cost.reshape(-1, h, h)
+
+
+def cost_dump(seed, heads, t, kind, model_id="m"):
+    """A dump of one kind: "full" rows over every position (not causal),
+    "random" causal rows, or one of ``tie_heavy_dump``'s tie-heavy kinds."""
+    if kind == "full":
+        rng = np.random.default_rng(seed)
+        probs = rng.random((2, heads, t, t)) + 0.05
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return aa.AttentionDump(model_id=model_id, ordering="sfsf", heads=heads, t=t, probs=probs)
+    return tie_heavy_dump(seed, heads, kind, t=t, model_id=model_id)
+
+
+COST_KINDS = [("full", "full"), ("full", "random"), ("random", "random"),
+              ("quarters", "quarters"), ("uniform", "duplicated"), ("early", "late")]
+
+
+@pytest.mark.parametrize("t", [1, 7, 32])
+@pytest.mark.parametrize("heads", [1, 3, 8])
+@pytest.mark.parametrize("kinds", COST_KINDS)
+def test_cell_costs_match_the_cumsum_of_differences(heads, t, kinds):
+    a = cost_dump(50 + t, heads, t, kinds[0], model_id="a")
+    b = cost_dump(60 + heads, heads, t, kinds[1], model_id="b")
+    cost = aa._cell_costs(a.probs, b.probs)
+    ref = reference_cell_costs(a.probs, b.probs)
+    assert cost.shape == ref.shape == (2 * t, heads, heads)
+    # each cell is the reference or, in its canonical orientation, its transpose
+    err = np.minimum(
+        np.abs(cost - ref).max(axis=(1, 2)),
+        np.abs(cost - ref.transpose(0, 2, 1)).max(axis=(1, 2)),
+    )
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1, 7, 32])
+@pytest.mark.parametrize("heads", [1, 3, 8])
+@pytest.mark.parametrize("kinds", COST_KINDS)
+def test_cell_costs_are_bitwise_emd_of_their_rows(heads, t, kinds):
+    a = cost_dump(70 + t, heads, t, kinds[0], model_id="a")
+    b = cost_dump(80 + heads, heads, t, kinds[1], model_id="b")
+    cost = aa._cell_costs(a.probs, b.probs)
+    for i in range(a.s_count):
+        for tok in range(t):
+            emd = np.array(
+                [[aa.emd_1d(p, q) for q in b.probs[i, :, tok]] for p in a.probs[i, :, tok]]
+            )
+            flat, flat_t = emd.reshape(-1), emd.T.reshape(-1)
+            differ = np.flatnonzero(flat != flat_t)
+            if differ.size and flat_t[differ[0]] < flat[differ[0]]:
+                emd = emd.T  # the canonical orientation
+            assert np.array_equal(cost[i * t + tok], emd)

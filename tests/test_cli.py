@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from sublayer_lab import attn_analysis, lm_harness
 from sublayer_lab.cli import main
 
 PANGRAM = (
@@ -367,3 +369,72 @@ def test_resume_into_a_file_damaged_mid_way_exits_1_unchanged(tmp_path, tiny_cor
     assert main(["search", "--config", str(cfg_path)]) == 1
     assert "results line 3" in capsys.readouterr().err
     assert out.read_bytes() == before
+
+
+def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus, capsys, monkeypatch):
+    ckpt = tmp_path / "m.ckpt"
+    train_cfg = tmp_path / "t.json"
+    train_cfg.write_text(json.dumps({
+        "ordering": "sf", "train": train_block(),
+        "corpus": str(tiny_corpus), "checkpoint_out": str(ckpt),
+    }))
+    assert main(["train", "--config", str(train_cfg)]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("capture ran on an invalid window")
+
+    monkeypatch.setattr(attn_analysis, "capture", never)
+    valid_size = lm_harness.load_corpus(tiny_corpus).valid_ids.size
+    dump_path = tmp_path / "d.jsonl"
+    cap_cfg = tmp_path / "c.json"
+    for window, messages in (
+        ({"offset": valid_size}, [f"offset: must be < the valid split's length {valid_size}"]),
+        ({"offset": valid_size + 7}, ["offset: must be < the valid split's length"]),
+        ({"length": 50}, ["length: must be <= the checkpoint's context 12, got 50"]),
+        ({"offset": 3, "length": 13}, ["length: must be <= the checkpoint's context 12"]),
+    ):
+        cap_cfg.write_text(json.dumps({
+            "checkpoint": str(ckpt), "corpus": str(tiny_corpus), "split": "valid",
+            **window, "out": str(dump_path),
+        }))
+        capsys.readouterr()
+        assert main(["capture", "--config", str(cap_cfg)]) == 2, window
+        err = capsys.readouterr().err
+        for message in messages:
+            assert f"config error: {message}" in err
+        assert not dump_path.exists()
+
+
+def test_distance_bad_groups_exit_2_listing_every_id(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(0)
+    paths = []
+    for mid in ("a", "b", "c"):
+        probs = rng.random((2, 2, 4, 4))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        path = tmp_path / f"{mid}.jsonl"
+        attn_analysis.save_dump(
+            attn_analysis.AttentionDump(model_id=mid, ordering="sfsf", heads=2, t=4, probs=probs),
+            path,
+        )
+        paths.append(str(path))
+
+    def never(dumps):
+        raise AssertionError("distance_matrix ran with bad groups")
+
+    monkeypatch.setattr(attn_analysis, "distance_matrix", never)
+    out = tmp_path / "dist.out.json"
+    cfg = tmp_path / "dist.json"
+    for groups, messages in (
+        ({"a": "g"}, ["no group label for dumped model_id 'b'",
+                      "no group label for dumped model_id 'c'"]),
+        ({"a": "g", "b": 3, "c": ["h"]}, ["label of 'b' must be a string, got 3",
+                                         "label of 'c' must be a string, got ['h']"]),
+    ):
+        cfg.write_text(json.dumps({"dumps": paths, "groups": groups, "out": str(out)}))
+        capsys.readouterr()
+        assert main(["distance", "--config", str(cfg)]) == 2, groups
+        captured = capsys.readouterr()
+        for message in messages:
+            assert f"config error: groups: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
