@@ -348,22 +348,20 @@ def _cmd_capture(args) -> int:
     model_id = v.get("model_id", str, default="")
     out = v.get("out", str, required=True)
     corpus = _resolve_corpus(v)
+    stream = getattr(corpus, f"{split}_ids", None)  # None without a corpus or a valid split
+    if stream is not None:
+        if offset >= stream.size:
+            v.fail("offset", f"must be < the {split} split's length {stream.size}, got {offset}")
+        elif offset + length > stream.size:
+            v.fail("length", f"window [{offset}, {offset + length}) runs past the {split} split's length {stream.size}")
     v.raise_if_failed()
 
     model = load_checkpoint(ckpt)
-    stream = getattr(corpus, f"{split}_ids")
     context = model.config.context
     if length > context:
         v.fail("length", f"must be <= the checkpoint's context {context}, got {length}")
-    if length == 0:
-        if offset >= stream.size:
-            v.fail("offset", f"must be < the {split} split's length {stream.size}, got {offset}")
-        length = min(context, stream.size - offset)
     v.raise_if_failed()
-    if offset + length > stream.size:
-        raise ValueError(
-            f"capture window [{offset}, {offset + length}) exceeds {split} length {stream.size}"
-        )
+    length = length or min(context, stream.size - offset)
     tokens = stream[offset : offset + length]
     dump = attn_analysis.capture(model, tokens, model_id=model_id or Path(ckpt).stem)
     attn_analysis.save_dump(dump, out)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .arch_dsl import OrderingSpec, SublayerKind, parse_ordering, sublayer_param_count
+from .arch_dsl import OrderingSpec, SublayerKind, parse_ordering
 from .tensor_core import (
     Tensor,
     attention,
@@ -82,8 +83,13 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
+        for name in ("tie_embeddings", "pre_norm"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.activation not in ("relu",):
             raise ValueError(f"unsupported activation {self.activation!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
+            raise ValueError(f"dropout must be a number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -128,18 +134,20 @@ class TransformerStack:
     output_projection: Tensor | None  # None when tied to the token embedding
 
     def parameters(self) -> list[Tensor]:
-        """All trainable tensors in fixed declaration order (checkpoint order)."""
-        out = [self.token_embedding, self.positional_embedding]
-        for p in self.sublayers:
-            if isinstance(p, AttentionParams):
-                out += [p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo]
-            else:
-                out += [p.w1, p.b1, p.w2, p.b2]
-            out += [p.norm_gain, p.norm_bias]
-        out += [self.final_gain, self.final_bias]
-        if self.output_projection is not None:
-            out.append(self.output_projection)
+        """All trainable tensors in declaration order (checkpoint order): the
+        stack's fields, with each sublayer's fields in place of ``sublayers``."""
+        out = []
+        for value in _field_values(self):
+            if isinstance(value, list):
+                for p in value:
+                    out += _field_values(p)
+            elif isinstance(value, Tensor):
+                out.append(value)
         return out
+
+
+def _field_values(obj) -> list:
+    return [getattr(obj, f.name) for f in fields(obj)]
 
 
 class AttentionCapture:
@@ -163,58 +171,61 @@ class AttentionCapture:
         return np.stack(maps)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def _layout(config: ModelConfig):
+    """Yield ``(sublayer index or None, field name, shape)`` for every parameter
+    in declaration order, which is parameters() order and checkpoint order."""
+    d, inner = config.d, config.ffn_inner
+    yield None, "token_embedding", (config.vocab, d)
+    yield None, "positional_embedding", (config.context, d)
+    for i, kind in enumerate(config.ordering.kinds):
+        if kind is SublayerKind.FEEDFORWARD:
+            shapes = {"w1": (d, inner), "b1": (inner,), "w2": (inner, d), "b2": (d,)}
+        else:
+            shapes = {name: (d, d) for name in ("wq", "wk", "wv", "wo")}
+            shapes.update((name, (d,)) for name in ("bq", "bk", "bv", "bo"))
+        for name, shape in {**shapes, "norm_gain": (d,), "norm_bias": (d,)}.items():
+            yield i, name, shape
+    yield from ((None, "final_gain", (d,)), (None, "final_bias", (d,)))
+    if not config.tie_embeddings:
+        yield None, "output_projection", (d, config.vocab)
+
+
+def _param_floats(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for *_, shape in _layout(config))
+
+
+def _assemble(config: ModelConfig, flat: np.ndarray) -> TransformerStack:
+    """A stack whose tensors are consecutive views into ``flat``, laid out by :func:`_layout`."""
+    own: dict[str, Tensor | None] = {"output_projection": None}
+    subs: list[dict[str, Tensor]] = [{} for _ in config.ordering.kinds]
+    offset = 0
+    for i, name, shape in _layout(config):
+        size = math.prod(shape)
+        (own if i is None else subs[i])[name] = Tensor(flat[offset : offset + size].reshape(shape))
+        offset += size
+    sublayers = [
+        (FeedforwardParams if kind is SublayerKind.FEEDFORWARD else AttentionParams)(**views)
+        for kind, views in zip(config.ordering.kinds, subs)
+    ]
+    return TransformerStack(config=config, sublayers=sublayers, **own)
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
-    """Initialize a stack; matrices are scaled-uniform, biases zero, gains one.
+    """Initialize a stack over one flat buffer; matrices are scaled-uniform,
+    biases zero, gains one.
 
-    Deterministic for a given seed: draws happen in declaration order.
+    Deterministic for a given seed: matrices are drawn in declaration order.
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    d, inner = config.d, config.ffn_inner
-    tok = Tensor(_glorot(rng, config.vocab, d))
-    pos = Tensor(_glorot(rng, config.context, d))
-    sublayers: list[SublayerParams] = []
-    for kind in config.ordering.kinds:
-        if kind is SublayerKind.FEEDFORWARD:
-            sublayers.append(
-                FeedforwardParams(
-                    w1=Tensor(_glorot(rng, d, inner)),
-                    b1=Tensor(np.zeros(inner)),
-                    w2=Tensor(_glorot(rng, inner, d)),
-                    b2=Tensor(np.zeros(d)),
-                    norm_gain=Tensor(np.ones(d)),
-                    norm_bias=Tensor(np.zeros(d)),
-                )
-            )
-        else:
-            sublayers.append(
-                AttentionParams(
-                    wq=Tensor(_glorot(rng, d, d)),
-                    wk=Tensor(_glorot(rng, d, d)),
-                    wv=Tensor(_glorot(rng, d, d)),
-                    wo=Tensor(_glorot(rng, d, d)),
-                    bq=Tensor(np.zeros(d)),
-                    bk=Tensor(np.zeros(d)),
-                    bv=Tensor(np.zeros(d)),
-                    bo=Tensor(np.zeros(d)),
-                    norm_gain=Tensor(np.ones(d)),
-                    norm_bias=Tensor(np.zeros(d)),
-                )
-            )
-    out_proj = None if config.tie_embeddings else Tensor(_glorot(rng, d, config.vocab))
-    return TransformerStack(
-        config=config,
-        token_embedding=tok,
-        positional_embedding=pos,
-        sublayers=sublayers,
-        final_gain=Tensor(np.ones(d)),
-        final_bias=Tensor(np.zeros(d)),
-        output_projection=out_proj,
-    )
+    model = _assemble(config, np.zeros(_param_floats(config)))
+    for (_, name, shape), p in zip(_layout(config), model.parameters()):
+        if len(shape) == 2:
+            fan_in, fan_out = shape
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            p.data[...] = rng.uniform(-limit, limit, size=shape)
+        elif name.endswith("gain"):
+            p.data.fill(1.0)
+    return model
 
 
 def count_params(
@@ -225,38 +236,20 @@ def count_params(
     """Exact parameter count.
 
     With both flags off this is the sublayer weight-matrix total, equal to the
-    sum of per-kind 4d^2 / 8d^2 costs. ``include_bias`` adds sublayer biases
-    and per-sublayer norm parameters; ``include_embeddings`` adds the token
-    and positional tables plus the untied output projection. The final norm's
-    gain/bias count only when both flags are on.
+    sum of per-kind 4d^2 / 8d^2 costs at the default ``ffn_inner``.
+    ``include_bias`` adds sublayer biases and per-sublayer norm parameters;
+    ``include_embeddings`` adds the token and positional tables plus the
+    untied output projection. The final norm's gain/bias count only when both
+    flags are on.
     """
-    cfg = model.config
-    d = cfg.d
-    weights = sum(sublayer_param_count(k, d) for k in cfg.ordering.kinds)
-    # ffn_inner != 4d changes the true matrix sizes; count the actual tensors
-    if cfg.ffn_inner != 4 * d:
-        weights = 0
-        for p in model.sublayers:
-            if isinstance(p, AttentionParams):
-                weights += 4 * d * d
-            else:
-                weights += p.w1.data.size + p.w2.data.size
-    total = weights
-    if include_bias:
-        for p in model.sublayers:
-            if isinstance(p, AttentionParams):
-                total += p.bq.data.size + p.bk.data.size + p.bv.data.size + p.bo.data.size
-            else:
-                total += p.b1.data.size + p.b2.data.size
-            total += p.norm_gain.data.size + p.norm_bias.data.size
+
+    def total(tensors) -> int:
+        return sum(t.data.size for t in tensors if include_bias or t.ndim == 2)
+
+    count = sum(total(_field_values(p)) for p in model.sublayers)
     if include_embeddings:
-        total += model.token_embedding.data.size
-        total += model.positional_embedding.data.size
-        if model.output_projection is not None:
-            total += model.output_projection.data.size
-        if include_bias:
-            total += model.final_gain.data.size + model.final_bias.data.size
-    return total
+        count += total(t for t in _field_values(model) if isinstance(t, Tensor))
+    return count
 
 
 @functools.lru_cache(maxsize=32)
@@ -407,7 +400,10 @@ def forward(
 
 # ---------------------------------------------------------------------------
 # checkpoint container: magic, version byte, length-prefixed JSON config,
-# then raw little-endian float64 arrays in parameters() order.
+# then the parameters as one run of little-endian float64 values in
+# parameters() order. A load sizes that run from the config's layout before
+# allocating, reads it into one buffer in one call, and assembles the stack
+# over that buffer.
 
 
 def save_checkpoint(model: TransformerStack, path) -> None:
@@ -442,13 +438,12 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
-def _payload_floats(config: ModelConfig) -> int:
-    """How many float64 values :func:`save_checkpoint` writes for ``config``."""
-    d, inner = config.d, config.ffn_inner
-    total = (config.vocab + config.context + 2) * d  # embeddings, final norm
-    for kind in config.ordering.kinds:
-        total += 2 * d * inner + inner + 3 * d if kind is SublayerKind.FEEDFORWARD else 4 * d * d + 6 * d
-    return total if config.tie_embeddings else total + d * config.vocab
+def _ordering(text, decoder_mode) -> OrderingSpec:
+    if not isinstance(decoder_mode, bool):
+        raise ValueError(f"decoder_mode must be a bool, got {decoder_mode!r}")
+    if text == "":  # the zero-sublayer stack, which parse_ordering rejects
+        return OrderingSpec(kinds=(), decoder_mode=decoder_mode)
+    return parse_ordering(text, decoder_mode)
 
 
 def load_checkpoint(path) -> TransformerStack:
@@ -472,7 +467,7 @@ def load_checkpoint(path) -> TransformerStack:
                 heads=header["heads"],
                 vocab=header["vocab"],
                 context=header["context"],
-                ordering=parse_ordering(header["ordering"], header["decoder_mode"]),
+                ordering=_ordering(header["ordering"], header["decoder_mode"]),
                 ffn_inner=header["ffn_inner"],
                 tie_embeddings=header["tie_embeddings"],
                 pre_norm=header["pre_norm"],
@@ -483,13 +478,12 @@ def load_checkpoint(path) -> TransformerStack:
             raise ValueError(f"checkpoint header lacks {exc}") from None
         except TypeError as exc:  # not a JSON object, or a field of the wrong type
             raise ValueError(f"malformed checkpoint header: {exc}") from None
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload < 8 * _payload_floats(config):  # before building, which allocates it all
+        count = _param_floats(config)
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count:  # before allocating
             raise ValueError("checkpoint truncated in its parameters")
-        model = build_model(config, rng_seed=0)
-        for p in model.parameters():
-            raw = _read_exact(fh, p.data.size * 8, "parameters")
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).copy()
+        flat = np.empty(count, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:  # one read, straight into the buffer
+            raise ValueError("checkpoint truncated in its parameters")
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    return model
+    return _assemble(config, flat)

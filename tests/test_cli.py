@@ -281,7 +281,7 @@ def test_seed_flag_overrides_config(tmp_path, tiny_corpus, capsys):
 
 
 def test_runtime_failure_exits_1(tmp_path, tiny_corpus, capsys):
-    # capture window exceeding the split length is a runtime error, not config
+    # a checkpoint whose payload is cut short is a runtime error, not config
     ckpt = tmp_path / "m.ckpt"
     train_cfg = tmp_path / "t.json"
     train_cfg.write_text(json.dumps({
@@ -289,11 +289,11 @@ def test_runtime_failure_exits_1(tmp_path, tiny_corpus, capsys):
         "corpus": str(tiny_corpus), "checkpoint_out": str(ckpt),
     }))
     assert main(["train", "--config", str(train_cfg)]) == 0
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
     cap_cfg = tmp_path / "c.json"
     cap_cfg.write_text(json.dumps({
         "checkpoint": str(ckpt), "corpus": str(tiny_corpus),
-        "split": "valid", "offset": 10_000_000, "length": 5,
-        "out": str(tmp_path / "d.jsonl"),
+        "split": "valid", "out": str(tmp_path / "d.jsonl"),
     }))
     assert main(["capture", "--config", str(cap_cfg)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -392,6 +392,11 @@ def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus,
         ({"offset": valid_size + 7}, ["offset: must be < the valid split's length"]),
         ({"length": 50}, ["length: must be <= the checkpoint's context 12, got 50"]),
         ({"offset": 3, "length": 13}, ["length: must be <= the checkpoint's context 12"]),
+        ({"offset": 10_000_000, "length": 5}, ["offset: must be < the valid split's length"]),
+        (
+            {"offset": valid_size - 2, "length": 5},
+            [f"length: window [{valid_size - 2}, {valid_size + 3}) runs past the valid split's length"],
+        ),
     ):
         cap_cfg.write_text(json.dumps({
             "checkpoint": str(ckpt), "corpus": str(tiny_corpus), "split": "valid",

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import struct
 import weakref
@@ -6,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sublayer_lab.arch_dsl import parse_ordering, sandwich, sample_permutation
+from sublayer_lab.arch_dsl import OrderingSpec, parse_ordering, sandwich, sample_permutation
 from sublayer_lab.model import (
     AttentionCapture,
     AttentionParams,
@@ -101,6 +102,12 @@ def test_count_params_flags_exact():
 
     untied = build_model(small_config("sf", tie_embeddings=False), 0)
     assert count_params(untied, include_embeddings=True) == 768 + emb + d * cfg.vocab
+
+
+def test_count_params_counts_the_actual_ffn_inner_width():
+    m = build_model(small_config("sf", ffn_inner=12), 0)
+    assert count_params(m) == 4 * 64 + 2 * 8 * 12 == 448
+    assert count_params(m, include_bias=True) == 448 + (4 * 8 + 2 * 8) + (12 + 8 + 2 * 8)
 
 
 def test_param_equivalence_across_reorderings():
@@ -355,6 +362,109 @@ def test_checkpoint_damaged_header_raises_value_error(tmp_path):
         cut.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
         with pytest.raises(ValueError):
             load_checkpoint(cut)
+
+
+# One config per layout feature: tied and untied output, a non-default FFN width,
+# cross-attention, a wider model and no sublayers at all.
+LAYOUT_CASES = {
+    "tied-sfsf": dict(ordering="sfsf"),
+    "untied-ssfsfsff-d16": dict(ordering="ssfsfsff", d=16, heads=4, tie_embeddings=False),
+    "ffn_inner-12": dict(ordering="sf", ffn_inner=12),
+    "decoder-scfscf": dict(ordering=parse_ordering("scfscf", decoder_mode=True)),
+    "d64-sfsfsfsf": dict(ordering="sfsfsfsf", d=64, heads=4),
+    "empty": dict(ordering=OrderingSpec(kinds=())),
+}
+
+# SHA-256 of save_checkpoint(build_model(config, seed)) for seeds 0 and 1, taken
+# before build and load shared one flat parameter buffer: checkpoint v1 bytes
+# and the seeded initialization must not move.
+CHECKPOINT_SHA256 = {
+    "tied-sfsf": (
+        "5d2c6343d7d6572eba11ffd6071e6e8306a5deb8ab2ac49f92de64b29fa84713",
+        "4daa41399ca157a586c5b7e2dc46c2492740c3587b8a60a573396352a9ac5887",
+    ),
+    "untied-ssfsfsff-d16": (
+        "e16a40dd063435703f624818de1875fa8b51d5fb730c61ccd7a0379c85f53272",
+        "1102e8df87f4090c5e1314eb2e0b830d004d2accfbf8420e291d8ed8a7b65a2a",
+    ),
+    "ffn_inner-12": (
+        "3e559b99d3ac351735b04a420e4112b5af4299f6ab1e11a20aae6a264c75faf0",
+        "0960301bdc4d4408539e728111ea2fb371163e4f121ae085afb56939c12f2e53",
+    ),
+    "decoder-scfscf": (
+        "9cc41e0bce11e59b3ff6d079710c950c681cb006cb830c75d8a57300a13cacc5",
+        "355eb7e36570e19769833a7bdced7752268f68fd0bc36f577583b9a05055aacc",
+    ),
+    "d64-sfsfsfsf": (
+        "c97904803257a5df81dbc374a5934a6e76a6402fd21adcbd4ab765648744991e",
+        "c7b19fe41cee7750e1036b2c5b6fd54e29c0e97c0d6692082ab0c970a37919b1",
+    ),
+    "empty": (
+        "53266c649913236e5e40fd309a76e6402958164cb83bac5aac3d0be76e55bd39",
+        "b1d45290ef3cdf4bc71573651cf7ba6732befa74a04ef79d37dabff0697a34b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_checkpoint_bytes_are_frozen(case, seed, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(small_config(**LAYOUT_CASES[case]), seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[case][seed]
+
+
+def _assert_one_buffer(model):
+    params = model.parameters()
+    base = params[0].data.base
+    offset = 0
+    for p in params:
+        assert p.data.base is base
+        assert p.data.ctypes.data == base.ctypes.data + 8 * offset
+        offset += p.data.size
+    assert offset == base.size
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_checkpoint_round_trip_over_layouts(case, tmp_path):
+    m = build_model(small_config(**LAYOUT_CASES[case]), 3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(m, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == m.config
+    for a, b in zip(m.parameters(), loaded.parameters(), strict=True):
+        assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+    for flags in ((False, False), (False, True), (True, False), (True, True)):
+        assert count_params(loaded, *flags) == count_params(m, *flags)
+    _assert_one_buffer(m)
+    _assert_one_buffer(loaded)
+    if m.config.ordering.decoder_mode:
+        return  # forward needs memory; the parameters are compared above
+    toks = np.array([1, 2, 3, 4])
+    assert np.array_equal(forward(m, toks).data, forward(loaded, toks).data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pre_norm", "false"),
+        ("pre_norm", 0),
+        ("tie_embeddings", 1),
+        ("tie_embeddings", None),
+        ("dropout", True),
+        ("dropout", "0.1"),
+        ("decoder_mode", "false"),
+    ],
+)
+def test_checkpoint_non_boolean_flags_raise_value_error(field, value, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(small_config(), 29), path)
+    data = path.read_bytes()
+    header_end = 9 + struct.unpack("<I", data[5:9])[0]
+    raw = json.dumps({**json.loads(data[9:header_end]), field: value}).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
+    with pytest.raises(ValueError, match=field):
+        load_checkpoint(path)
 
 
 def test_checkpoint_float_size_raises_value_error(tmp_path):
