@@ -127,13 +127,11 @@ def sublayer_param_count(kind: SublayerKind, d: int) -> int:
     """Weight parameters of one sublayer at model width ``d``, excluding biases.
 
     ``s`` and ``c`` hold four d x d projections (4*d^2); ``f`` holds the
-    d x 4d and 4d x d pair (8*d^2).
+    d x 4d and 4d x d pair (8*d^2): ``UNIT_COST`` units of 4*d^2 each.
     """
     if d < 1:
         raise ValueError(f"model width must be >= 1, got {d}")
-    if kind is SublayerKind.FEEDFORWARD:
-        return 8 * d * d
-    return 4 * d * d
+    return UNIT_COST[kind] * 4 * d * d
 
 
 def total_units(spec: OrderingSpec) -> int:

@@ -43,6 +43,8 @@ def _load_config(path) -> dict:
         raise ConfigErrors([f"config: cannot read {path}: {e}"])
     except ValueError as e:
         raise ConfigErrors([f"config: invalid JSON in {path}: {e}"])
+    except RecursionError:  # nesting deeper than the parser's stack
+        raise ConfigErrors([f"config: invalid JSON in {path}: nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise ConfigErrors(["config: top level must be a JSON object"])
     return doc
@@ -247,6 +249,9 @@ def _cmd_train(args) -> int:
     v.raise_if_failed()
     if args.seed is not None:
         seed = args.seed
+    for path in (checkpoint_out, out):
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
 
     cfg = template.instantiate(ordering, corpus.vocab_size, seed)
     record, model = lm_harness.train_model(cfg, corpus)

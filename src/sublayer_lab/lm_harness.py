@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -125,7 +125,8 @@ def load_corpus_text(
     if not text:
         raise ValueError("corpus text is empty")
     fr = tuple(split_fractions)
-    if len(fr) != 3 or any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+    # each test passes only for good values, since a comparison with NaN is False
+    if len(fr) != 3 or not all(f >= 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
         raise ValueError(f"split fractions must be 3 non-negatives summing to 1, got {fr}")
     if fr[0] <= 0:
         raise ValueError("train fraction must be positive")
@@ -463,7 +464,7 @@ def _nll_sum(logits: np.ndarray, targets: np.ndarray) -> float:
 class SearchConfig:
     """One search run: a sampling mode plus the shared training template."""
 
-    mode: str  # "permutation" | "budgeted" | "sandwich_sweep"
+    mode: str  # "permutation" | "budgeted"
     template: TrainTemplate
     master_seed: int
     out_path: str | None = None
@@ -471,8 +472,6 @@ class SearchConfig:
     n_s: int = 0
     n_f: int = 0
     budget: int = 0
-    sweep_n: int = 0
-    k_values: tuple[int, ...] = ()
     workers: int = 1
 
 
@@ -541,9 +540,12 @@ def _run_trials(
 ) -> list[TrialRecord]:
     """Train every (index, ordering, sandwich_k) trial not already on disk.
 
-    Records append to ``out_path`` in index order regardless of worker
-    completion order, so a finished file is byte-stable across reruns
-    except for timestamp metadata.
+    Up to ``workers`` trials train at once; with one worker they train in
+    the caller's thread. Records append to ``out_path`` in spec order, so a
+    finished file is byte-stable across reruns and worker counts except for
+    timestamp metadata. Once every trial before it has finished, a trial
+    that raised cancels the queued ones; those already running finish,
+    unwritten.
     """
     fh = None
     existing: dict[int, TrialRecord] = {}
@@ -583,26 +585,11 @@ def _run_trials(
     pending = [s for s in specs if s[0] not in existing]
     done = dict(existing)
     try:
-        if workers <= 1:
-            for spec in pending:
-                rec = run_one(spec)
+        # both maps yield in spec order; pool.map cancels its queue on reaching a raised trial
+        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+            for rec in (map if workers <= 1 else pool.map)(run_one, pending):
                 emit(rec)
                 done[rec.index] = rec
-        else:
-            order = [s[0] for s in pending]
-            buffered: dict[int, TrialRecord] = {}
-            next_pos = 0
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(run_one, s) for s in pending}
-                while futures:
-                    finished, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        rec = fut.result()
-                        buffered[rec.index] = rec
-                        done[rec.index] = rec
-                    while next_pos < len(order) and order[next_pos] in buffered:
-                        emit(buffered.pop(order[next_pos]))
-                        next_pos += 1
     finally:
         if fh is not None:
             fh.close()

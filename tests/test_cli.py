@@ -106,6 +106,28 @@ def test_train_writes_record_and_checkpoint(tmp_path, tiny_corpus, capsys):
     assert (tmp_path / "model.ckpt").exists()
 
 
+def test_train_creates_output_directories_before_training(tmp_path, tiny_corpus, capsys, monkeypatch):
+    rec_path = tmp_path / "records" / "deep" / "rec.json"
+    ckpt_path = tmp_path / "checkpoints" / "model.ckpt"
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "sf", "train": train_block(), "corpus": str(tiny_corpus),
+        "out": str(rec_path), "checkpoint_out": str(ckpt_path),
+    }))
+    train_model = lm_harness.train_model
+    seen = []
+
+    def checked(cfg, corpus):
+        seen.append((rec_path.parent.is_dir(), ckpt_path.parent.is_dir()))
+        return train_model(cfg, corpus)
+
+    monkeypatch.setattr(lm_harness, "train_model", checked)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert seen == [(True, True)]
+    assert json.loads(rec_path.read_text())["ordering"] == "sf"
+    assert ckpt_path.is_file()
+
+
 def test_diverged_train_exits_0_with_infinite_perplexity(tmp_path, tiny_corpus, capsys):
     cfg = {
         "ordering": "sfsf",
@@ -172,6 +194,9 @@ def test_config_invalid_json_exits_2(tmp_path, capsys):
     cfg_path.write_text("{not json")
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    cfg_path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"config: invalid JSON in {cfg_path}: nested too deeply" in capsys.readouterr().err
 
 
 def test_search_and_report_round_trip(tmp_path, tiny_corpus, capsys):

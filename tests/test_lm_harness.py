@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -51,6 +53,9 @@ def test_corpus_validation_errors(tmp_path):
         lm.load_corpus_text("abc", (0.5, 0.25, 0.1))
     with pytest.raises(ValueError):
         lm.load_corpus_text("", (0.8, 0.1, 0.1))
+    for fractions in ((1.0, 0.0, math.nan), (math.nan, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="split fractions must be"):
+            lm.load_corpus_text("abc" * 10, fractions)
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     with pytest.raises(ValueError):
@@ -267,6 +272,45 @@ def test_workers_produce_index_ordered_file(tmp_path):
     lm.run_random_search(search, corpus)
     indices = [json.loads(l)["index"] for l in out.read_text().splitlines()[1:]]
     assert indices == [0, 1, 2, 3]
+
+    def outside_meta(path):
+        docs = [json.loads(l) for l in path.read_text().splitlines()]
+        for doc in docs:
+            doc.pop("meta")
+        return [json.dumps(doc, sort_keys=True) for doc in docs]
+
+    serial = tmp_path / "w1.jsonl"
+    search.out_path, search.workers = str(serial), 1
+    lm.run_random_search(search, corpus)
+    assert outside_meta(serial) == outside_meta(out)
+
+
+def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    out = tmp_path / "fail.jsonl"
+    search = lm.SearchConfig(
+        mode="permutation", template=tiny_template(), master_seed=11,
+        out_path=str(out), trials=8, n_s=2, n_f=1, workers=2,
+    )
+    index_of = {lm.derive_seed(11, i, "train"): i for i in range(8)}
+    started = []
+    second_started = threading.Event()
+
+    def stub_train(cfg, corpus):
+        index = index_of[cfg.seed]
+        started.append(index)
+        if index == 0:
+            second_started.wait(5)  # both workers busy when trial 0 fails
+            raise RuntimeError("trial 0 failed")
+        second_started.set()
+        time.sleep(1)  # still running when the failure surfaces
+        return lm.TrialRecord.build(str(cfg.model.ordering), -1, cfg.seed, [], 1.0, 0, 0.0)
+
+    monkeypatch.setattr(lm, "train", stub_train)
+    with pytest.raises(RuntimeError, match="trial 0 failed"):
+        lm.run_random_search(search, corpus)
+    assert 0 in started and len(started) <= search.workers + 1
+    assert len(out.read_text().splitlines()) == 1  # the header; no trial written
 
 
 # -- records ---------------------------------------------------------------------------
