@@ -9,11 +9,12 @@ units, sandwich construction, random sampling, half-splits) lives here.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+
+from ._json import loads
 
 __all__ = [
     "SublayerKind",
@@ -261,4 +262,4 @@ def load_table_records() -> list[dict]:
     text = (
         resources.files("sublayer_lab").joinpath("data", TABLES_FIXTURE).read_text()
     )
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return [loads(line) for line in text.splitlines() if line.strip()]

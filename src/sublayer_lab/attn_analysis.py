@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._json import loads, typed
 from .model import AttentionCapture, TransformerStack, forward
 from .tensor_core import no_grad
 
@@ -134,13 +135,6 @@ def save_dump(dump: AttentionDump, path) -> None:
                     )
 
 
-def _header_field(header: dict, key: str, kind: type):
-    value = header.get(key)
-    if type(value) is not kind:  # exact type: JSON true is not the integer 1
-        raise ValueError(f"dump header: {key!r} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def _check_probabilities(probs: np.ndarray, model_id: str) -> None:
     """Raise ``ValueError`` unless every row is a finite, non-negative unit mass."""
     if not np.isfinite(probs).all():
@@ -150,13 +144,6 @@ def _check_probabilities(probs: np.ndarray, model_id: str) -> None:
     drift = np.abs(probs.sum(axis=-1) - 1.0).max()
     if drift > 1e-9:
         raise ValueError(f"dump {model_id!r} rows deviate from unit mass by {drift:g}")
-
-
-def _parse_line(line: str, what: str):
-    try:
-        return json.loads(line)
-    except RecursionError:  # nesting deeper than the parser's stack
-        raise ValueError(f"{what} is nested too deeply") from None
 
 
 def load_dump(path) -> AttentionDump:
@@ -172,16 +159,16 @@ def load_dump(path) -> AttentionDump:
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"empty dump file: {path}")
-    header = _parse_line(lines[0], "dump header")
+    header = loads(lines[0])
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValueError("dump file must start with a header line")
     if header.get("v") != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {header.get('v')}")
-    shape = tuple(_header_field(header, key, int) for key in ("s_count", "heads", "t"))
+    shape = tuple(typed(header.get(k), int, f"dump header: {k!r}") for k in ("s_count", "heads", "t"))
     if min(shape) < 1:
         raise ValueError(f"dump header shape (s_count, heads, t) = {shape} is invalid")
-    model_id = _header_field(header, "model_id", str)
-    ordering = _header_field(header, "ordering", str)
+    model_id = typed(header.get("model_id"), str, "dump header: 'model_id'")
+    ordering = typed(header.get("ordering"), str, "dump header: 'ordering'")
     t = shape[2]
     if math.prod(shape) * t > len(text):  # before allocating: each probability takes a character
         raise ValueError(f"dump file is too short for its shape {shape}")
@@ -191,7 +178,7 @@ def load_dump(path) -> AttentionDump:
         if not line.strip():
             continue
         what = f"dump line {lineno}"
-        doc = _parse_line(line, what)
+        doc = loads(line)
         if not isinstance(doc, dict):
             raise ValueError(f"{what} is not a JSON object")
         index = (doc.get("layer"), doc.get("head"), doc.get("token"))

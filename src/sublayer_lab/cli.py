@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, arch_dsl, attn_analysis, lm_harness
+from ._json import loads, typed
 from .arch_dsl import OrderingError, parse_ordering
 from .model import load_checkpoint, save_checkpoint
 
@@ -38,13 +39,11 @@ class ConfigErrors(Exception):
 
 def _load_config(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigErrors([f"config: cannot read {path}: {e}"])
     except ValueError as e:
         raise ConfigErrors([f"config: invalid JSON in {path}: {e}"])
-    except RecursionError:  # nesting deeper than the parser's stack
-        raise ConfigErrors([f"config: invalid JSON in {path}: nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise ConfigErrors(["config: top level must be a JSON object"])
     return doc
@@ -64,18 +63,24 @@ class _Validator:
     def fail(self, field, msg):
         self.errors.append(f"{self._name(field)}: {msg}")
 
+    def check(self, field, value, kind, expected):
+        """``value`` as a JSON ``kind`` (``_json.typed`` decides), or None after
+        failing ``field`` with ``expected`` (an int no float holds fails as such)."""
+        try:
+            return typed(value, kind, self._name(field))
+        except ValueError as e:
+            out_of_range = kind is float and type(value) is int
+            self.errors.append(str(e) if out_of_range else f"{self._name(field)}: {expected}")
+            return None
+
     def get(self, field, kind, required=False, default=None, minimum=None):
         if field not in self.doc:
             if required:
                 self.fail(field, "required field is missing")
             return default
         value = self.doc[field]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is not None and (
-            not isinstance(value, kind) or isinstance(value, bool) and kind is not bool
-        ):
-            self.fail(field, f"expected {kind.__name__}, got {type(value).__name__}")
+        value = self.check(field, value, kind, f"expected {kind.__name__}, got {type(value).__name__}")
+        if value is None:
             return default
         if minimum is not None and value < minimum:
             self.fail(field, f"must be >= {minimum}, got {value}")
@@ -83,28 +88,26 @@ class _Validator:
         return value
 
     def raise_if_failed(self):
-        if self.errors:
-            raise ConfigErrors(self.errors)
+        if self.errors:  # a check run per list entry may fail the same way twice
+            raise ConfigErrors(list(dict.fromkeys(self.errors)))
 
 
 def _resolve_corpus(v: _Validator) -> lm_harness.Corpus | None:
     raw = v.get("corpus", str, required=True)
     fractions = v.doc.get("split_fractions", [0.8, 0.1, 0.1])
-    if not (
-        isinstance(fractions, list)
-        and len(fractions) == 3
-        and all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions)
-    ):
-        v.fail("split_fractions", "expected a list of 3 numbers")
+    expected = "expected a list of 3 numbers"
+    if not (isinstance(fractions, list) and len(fractions) == 3):
+        v.fail("split_fractions", expected)
         return None
-    if raw is None:
+    fractions = [v.check("split_fractions", f, float, expected) for f in fractions]
+    if None in fractions or raw is None:
         return None
     path = lm_harness.bundled_corpus_path() if raw == "bundled" else Path(raw)
     if not path.is_file():
         v.fail("corpus", f"file not found: {path}")
         return None
     try:
-        return lm_harness.load_corpus(path, tuple(float(f) for f in fractions))
+        return lm_harness.load_corpus(path, tuple(fractions))
     except ValueError as e:
         v.fail("corpus", str(e))
         return None
@@ -246,6 +249,9 @@ def _cmd_train(args) -> int:
     sandwich_k = v.get("sandwich_k", int, default=-1)
     out = v.get("out", str)
     checkpoint_out = v.get("checkpoint_out", str)
+    for field, path in (("out", out), ("checkpoint_out", checkpoint_out)):
+        if path and Path(path).is_dir():
+            v.fail(field, f"names a directory: {path}")
     v.raise_if_failed()
     if args.seed is not None:
         seed = args.seed
@@ -314,12 +320,10 @@ def _cmd_sweep(args) -> int:
     k_values = v.doc.get("k_values")
     if k_values is None and n is not None:
         k_values = list(range(n))
-    if not (
-        isinstance(k_values, list)
-        and all(isinstance(k, int) and not isinstance(k, bool) for k in k_values)
-    ):
-        v.fail("k_values", "expected a list of integers")
-    elif n is not None:
+    expected = "expected a list of integers"
+    if not isinstance(k_values, list):
+        v.fail("k_values", expected)
+    elif all(v.check("k_values", k, int, expected) is not None for k in k_values) and n is not None:
         for k in k_values:
             if not 0 <= k <= n - 1:
                 v.fail("k_values", f"k={k} out of range [0, {n - 1}]")
@@ -378,9 +382,10 @@ def _cmd_distance(args) -> int:
     doc = _load_config(args.config)
     v = _Validator(doc)
     paths = v.doc.get("dumps")
-    if not (isinstance(paths, list) and len(paths) >= 2 and all(isinstance(p, str) for p in paths)):
-        v.fail("dumps", "expected a list of >=2 dump paths")
-    else:
+    expected = "expected a list of >=2 dump paths"
+    if not (isinstance(paths, list) and len(paths) >= 2):
+        v.fail("dumps", expected)
+    elif all(v.check("dumps", p, str, expected) is not None for p in paths):
         for p in paths:
             if not Path(p).is_file():
                 v.fail("dumps", f"file not found: {p}")
@@ -389,8 +394,7 @@ def _cmd_distance(args) -> int:
         v.fail("groups", "expected an object mapping model_id to group label")
     elif groups:
         for mid, label in groups.items():
-            if not isinstance(label, str):
-                v.fail("groups", f"label of {mid!r} must be a string, got {label!r}")
+            v.check("groups", label, str, f"label of {mid!r} must be a string, got {label!r}")
     out = v.get("out", str)
     v.raise_if_failed()
 
@@ -425,6 +429,8 @@ def _cmd_analyze_halves(args) -> int:
     v = _Validator(doc)
     records_path = v.get("records", str, required=True)
     threshold = v.get("threshold", float, default=lm_harness.DEFAULT_REFERENCE_THRESHOLD)
+    if not math.isfinite(threshold):
+        v.fail("threshold", f"must be finite, got {threshold}")
     include_baselines = v.get("include_baselines", bool, default=False)
     metric_field = v.get("metric_field", str, default="")
     out = v.get("out", str)
@@ -446,10 +452,9 @@ def _cmd_analyze_halves(args) -> int:
                 (rec.ordering, getattr(rec, field, None))
                 for rec in lm_harness.read_results(records_path)
             ]
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for _, x in rows):
-        v.fail("metric_field", f"{field!r} is not a numeric field of the records")
+    expected = f"{field!r} is not a numeric field of the records"
+    pairs = [(ordering, v.check("metric_field", x, float, expected)) for ordering, x in rows]
     v.raise_if_failed()
-    pairs = [(ordering, float(x)) for ordering, x in rows]
 
     report = lm_harness.analyze_halves(pairs, threshold)
     print(f"threshold: {report.threshold}")

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
+from ._json import loads, typed
 from .arch_dsl import (
     OrderingSpec,
     half_counts,
@@ -295,30 +296,6 @@ def record_to_json_dict(rec: TrialRecord) -> dict:
     }
 
 
-def _json_float(value, what: str) -> float:
-    """A JSON number as a float; a bool is not a number."""
-    if type(value) is float:
-        return value
-    if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is out of float range") from None
-
-
-def _record_field(doc: dict, key: str, kind: type):
-    """``doc[key]``, which must be a JSON ``kind`` (a float takes any number)."""
-    if key not in doc:
-        raise ValueError(f"record lacks {key!r}")
-    value = doc[key]
-    if kind is float:
-        return _json_float(value, f"record field {key!r}")
-    if type(value) is not kind:  # exact type: JSON true is not the integer 1
-        raise ValueError(f"record field {key!r} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 _RECORD_FIELDS = {
     "index": int, "ordering": str, "sandwich_k": int, "seed": int, "loss_curve": list,
     "valid_nats": float, "valid_bpc": float, "valid_ppl": float, "param_count": int,
@@ -332,20 +309,20 @@ def record_from_json_dict(doc: dict) -> TrialRecord:
     with its JSON type, an ``index`` that is -1 (no trial) or more, and a
     ``valid_bpc`` and ``valid_ppl`` consistent with ``valid_nats``.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"record must be a JSON object, got {type(doc).__name__}")
-    fields = {key: _record_field(doc, key, kind) for key, kind in _RECORD_FIELDS.items()}
+    typed(doc, dict, "record")
+    try:
+        fields = {k: typed(doc[k], kind, f"record field {k!r}") for k, kind in _RECORD_FIELDS.items()}
+    except KeyError as exc:
+        raise ValueError(f"record lacks {exc}") from None
     if fields["index"] < -1:
         raise ValueError(f"record index must be >= -1, got {fields['index']}")
     curve = []
     for point in fields.pop("loss_curve"):
         if not (isinstance(point, list) and len(point) == 2 and type(point[0]) is int):
             raise ValueError(f"record field 'loss_curve' holds {point!r}, not a [step, loss] pair")
-        curve.append((point[0], _json_float(point[1], "a 'loss_curve' loss")))
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError("record field 'meta' must be a JSON object")
-    wall = _record_field(meta, "wall_clock_s", float) if "wall_clock_s" in meta else 0.0
+        curve.append((point[0], typed(point[1], float, "a 'loss_curve' loss")))
+    meta = typed(doc.get("meta", {}), dict, "record field 'meta'")
+    wall = typed(meta.get("wall_clock_s", 0.0), float, "record field 'wall_clock_s'")
     rec = TrialRecord(loss_curve=curve, wall_clock_s=wall, **fields)
     if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
         raise ValueError(f"record bpc inconsistent with nats: {doc}")
@@ -498,9 +475,9 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
         if nl == -1:
             break
         lineno += 1
-        try:  # UnicodeDecodeError is a ValueError; deep nesting exhausts the parser's stack
-            doc = json.loads(raw[good_end:nl].decode("utf-8"))
-        except (ValueError, RecursionError):
+        try:  # UnicodeDecodeError is a ValueError
+            doc = loads(raw[good_end:nl].decode("utf-8"))
+        except ValueError:
             if nl + 1 < len(raw):
                 raise ValueError(
                     f"results line {lineno} does not parse and is not the last line"

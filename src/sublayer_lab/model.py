@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._json import loads, typed
 from .arch_dsl import OrderingSpec, SublayerKind, parse_ordering
 from .tensor_core import (
     Tensor,
@@ -67,7 +68,6 @@ class ModelConfig:
     ffn_inner: int = 0  # 0 means the default 4*d
     tie_embeddings: bool = True
     pre_norm: bool = True
-    activation: str = "relu"
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -86,8 +86,6 @@ class ModelConfig:
         for name in ("tie_embeddings", "pre_norm"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.activation not in ("relu",):
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if isinstance(self.dropout, bool) or not isinstance(self.dropout, numbers.Real):
             raise ValueError(f"dropout must be a number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -291,15 +289,13 @@ def self_attention_sublayer(
     x: Tensor,
     p: AttentionParams,
     heads: int,
-    causal: bool = True,
     capture: AttentionCapture | None = None,
     pre_norm: bool = True,
     drop_rate: float = 0.0,
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Residual multi-head self-attention over [..., t, d]."""
-    t = x.shape[-2]
-    mask = _causal_mask(t) if causal else None
+    """Residual causal multi-head self-attention over [..., t, d]."""
+    mask = _causal_mask(x.shape[-2])
     return _residual(
         x,
         lambda h: _attention(h, h, p, heads, mask, capture, "s"),
@@ -377,7 +373,7 @@ def forward(
     for kind, p in zip(cfg.ordering.kinds, model.sublayers):
         if kind is SublayerKind.SELF_ATTENTION:
             x = self_attention_sublayer(
-                x, p, cfg.heads, causal=True, capture=capture,
+                x, p, cfg.heads, capture=capture,
                 pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng,
             )
         elif kind is SublayerKind.FEEDFORWARD:
@@ -418,7 +414,7 @@ def save_checkpoint(model: TransformerStack, path) -> None:
         "ffn_inner": cfg.ffn_inner,
         "tie_embeddings": cfg.tie_embeddings,
         "pre_norm": cfg.pre_norm,
-        "activation": cfg.activation,
+        "activation": "relu",  # the only activation; kept so checkpoint bytes do not change
         "dropout": cfg.dropout,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -439,8 +435,7 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 
 def _ordering(text, decoder_mode) -> OrderingSpec:
-    if not isinstance(decoder_mode, bool):
-        raise ValueError(f"decoder_mode must be a bool, got {decoder_mode!r}")
+    decoder_mode = typed(decoder_mode, bool, "decoder_mode")
     if text == "":  # the zero-sublayer stack, which parse_ordering rejects
         return OrderingSpec(kinds=(), decoder_mode=decoder_mode)
     return parse_ordering(text, decoder_mode)
@@ -457,11 +452,10 @@ def load_checkpoint(path) -> TransformerStack:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+        header = loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         try:
-            header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
-        except RecursionError:  # nesting deeper than the parser's stack
-            raise ValueError("checkpoint header is nested too deeply") from None
-        try:
+            if header["activation"] != "relu":
+                raise ValueError(f"unsupported activation {header['activation']!r}")
             config = ModelConfig(
                 d=header["d"],
                 heads=header["heads"],
@@ -471,7 +465,6 @@ def load_checkpoint(path) -> TransformerStack:
                 ffn_inner=header["ffn_inner"],
                 tie_embeddings=header["tie_embeddings"],
                 pre_norm=header["pre_norm"],
-                activation=header["activation"],
                 dropout=header["dropout"],
             )
         except KeyError as exc:

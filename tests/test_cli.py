@@ -468,3 +468,50 @@ def test_distance_bad_groups_exit_2_listing_every_id(tmp_path, capsys, monkeypat
             assert f"config error: groups: {message}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+HUGE = 10**400  # a JSON int that no float can hold
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("train", {"ordering": "sf", "train": {**train_block(), "lr": HUGE}}, "train.lr is out of float range"),
+        ("train", {"ordering": "sf", "split_fractions": [HUGE, 0.1, 0.1]}, "split_fractions is out of float range"),
+        ("analyze-halves", {"records": "bundled-tables", "threshold": HUGE}, "threshold is out of float range"),
+    ],
+    ids=["train.lr", "split_fractions", "threshold"],
+)
+def test_number_out_of_float_range_exits_2_naming_the_field(
+    tmp_path, tiny_corpus, capsys, command, config, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": train_block(), "corpus": str(tiny_corpus), **config}))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["out", "checkpoint_out"])
+def test_train_output_naming_a_directory_exits_2_before_training(
+    tmp_path, tiny_corpus, capsys, monkeypatch, field
+):
+    def never(cfg, corpus):
+        raise AssertionError("a model was built for an unwritable output")
+
+    monkeypatch.setattr(lm_harness, "train_model", never)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "sf", "train": train_block(), "corpus": str(tiny_corpus), field: str(tmp_path),
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"config error: {field}: names a directory: {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("-inf")], ids=["NaN", "-Infinity"])
+def test_analyze_halves_non_finite_threshold_exits_2(tmp_path, capsys, threshold):
+    cfg_path = tmp_path / "ah.json"
+    cfg_path.write_text(json.dumps({"records": "bundled-tables", "threshold": threshold}))
+    assert main(["analyze-halves", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: threshold: must be finite" in captured.err
+    assert captured.out == ""

@@ -1,14 +1,18 @@
 """The three file readers on damaged input: whatever the bytes, each returns a
 valid object or raises ``ValueError``."""
 
+import ast
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sublayer_lab import _json
 from sublayer_lab import attn_analysis as aa
 from sublayer_lab import lm_harness as lm
 from sublayer_lab.arch_dsl import parse_ordering
@@ -147,3 +151,50 @@ def test_dump_claiming_a_huge_shape_is_rejected_before_allocating(valid_files, s
     scratch.write_text("\n".join([json.dumps(doc), *rest]) + "\n")
     with pytest.raises(ValueError, match="too short"):
         aa.load_dump(scratch)
+
+
+def test_only_the_json_module_parses_json():
+    """Every reader parses through ``sublayer_lab._json``, so one module
+    decides how a bad document fails."""
+    src = Path(aa.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_json.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):  # json.loads(...)
+                found = node.attr == "loads" and getattr(node.value, "id", None) == "json"
+            elif isinstance(node, ast.ImportFrom):  # from json import loads
+                found = node.module == "json" and any(a.name == "loads" for a in node.names)
+            else:
+                continue
+            if found:
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
+@pytest.mark.parametrize(
+    "value, kind, expected",
+    [(1, float, 1.0), (1.5, float, 1.5), (1, int, 1), (True, bool, True), ("x", str, "x"), ([], list, [])],
+)
+def test_typed_accepts_its_kind(value, kind, expected):
+    out = _json.typed(value, kind, "v")
+    assert out == expected and type(out) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        (True, int, "v must be a JSON int, got True"),
+        (False, float, "v must be a JSON number, got False"),
+        (1.0, int, "v must be a JSON int, got 1.0"),
+        (1, bool, "v must be a JSON boolean, got 1"),
+        (None, str, "v must be a JSON string, got None"),
+        ({}, list, "v must be a JSON array"),
+        ([], dict, "v must be a JSON object"),
+        (10**400, float, "v is out of float range"),
+    ],
+)
+def test_typed_rejects_everything_else(value, kind, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _json.typed(value, kind, "v")
