@@ -187,7 +187,8 @@ def load_dump(path) -> AttentionDump:
         if filled[index]:
             raise ValueError(f"{what}: (layer, head, token) {index} given twice")
         row = np.asarray(doc.get("p"))
-        if row.shape != (t,) or row.dtype.kind not in "iuf":
+        # a bool among floats makes a float row, so the entries' types are checked too
+        if row.shape != (t,) or row.dtype.kind not in "iuf" or bool in map(type, doc["p"]):
             raise ValueError(f"{what}: 'p' must be a list of {t} numbers")
         probs[index] = row
         filled[index] = True

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple, get_args, get_origin
 
 from . import __version__, arch_dsl, attn_analysis, lm_harness
 from ._json import loads, typed
@@ -34,10 +35,120 @@ class ConfigErrors(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading and validation helpers
+# config tables and the walk that checks a document against one
 
 
-def _load_config(path) -> dict:
+class Field(NamedTuple):
+    """One config field: its JSON kind (``list[int]`` is a list of ints), its
+    default (``...`` when it is required) and its least value or list length.
+    An int with a least value is a count or a size, so it must also fit an
+    index (``sys.maxsize``), as a number must fit a float."""
+
+    kind: object
+    default: object = ...
+    minimum: int | None = None
+
+
+_T = lm_harness.TrainTemplate  # the train block's defaults live there
+TRAIN = {
+    **dict.fromkeys(("d", "heads", "steps", "batch_size", "context"), Field(int, minimum=1)),
+    "lr": Field(float, _T.lr),
+    "eval_interval": Field(int, _T.eval_interval, 1),
+    "ffn_inner": Field(int, _T.ffn_inner, 0),
+    "tie_embeddings": Field(bool, _T.tie_embeddings),
+    "pre_norm": Field(bool, _T.pre_norm),
+    "dropout": Field(float, _T.dropout),
+}
+CORPUS = {"corpus": Field(str), "split_fractions": Field(list[float], [0.8, 0.1, 0.1])}
+TRIALS = {"master_seed": Field(int, 0), "workers": Field(int, 1, 1), "out": Field(str), "train": TRAIN, **CORPUS}
+TABLES = {
+    "train": {
+        "ordering": Field(str),
+        "train": TRAIN,
+        **CORPUS,
+        "seed": Field(int, 0),
+        "sandwich_k": Field(int, -1),
+        "out": Field(str, None),
+        "checkpoint_out": Field(str, None),
+    },
+    "search": {
+        "mode": Field(str),
+        "trials": Field(int, minimum=1),
+        **dict.fromkeys(("n_s", "n_f", "budget"), Field(int, 0, 0)),
+        **TRIALS,
+    },
+    "sweep": {"n": Field(int, minimum=1), "k_values": Field(list[int], None), **TRIALS},
+    "capture": {
+        "checkpoint": Field(str), "split": Field(str, "valid"), "offset": Field(int, 0, 0),
+        "length": Field(int, 0, 0), "model_id": Field(str, ""), "out": Field(str), **CORPUS,
+    },
+    # the keys of groups are model ids, so only its labels are checked
+    "distance": {"dumps": Field(list[str], minimum=2), "groups": Field(dict, None), "out": Field(str, None)},
+    "analyze-halves": {
+        "records": Field(str), "threshold": Field(float, lm_harness.DEFAULT_REFERENCE_THRESHOLD),
+        "include_baselines": Field(bool, False), "metric_field": Field(str, ""), "out": Field(str, None),
+    },
+    "report": {
+        "records": Field(str), "formats": Field(list[str], list(lm_harness.REPORT_FORMATS), 1),
+        "out_dir": Field(str),
+    },
+}
+
+
+def _checked(value, spec: Field, name: str, errors: list[str]):
+    """``value`` if it has ``spec``'s JSON kind (``_json.typed`` decides) and
+    bounds, else None after adding why not to ``errors``."""
+    kind = get_origin(spec.kind) or spec.kind
+    try:
+        value = typed(value, kind, name)
+    except ValueError as e:  # an int that no float holds fails as such
+        out_of_range = kind is float and type(value) is int
+        errors.append(str(e) if out_of_range else f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+        return None
+    if kind is list and None in [_checked(x, Field(get_args(spec.kind)[0]), name, errors) for x in value]:
+        return None
+    if spec.minimum is None:
+        return value
+    if kind is list:
+        if len(value) >= spec.minimum:
+            return value
+        errors.append(f"{name}: length must be >= {spec.minimum}, got {len(value)}")
+    elif value < spec.minimum:
+        errors.append(f"{name}: must be >= {spec.minimum}, got {value}")
+    elif value > sys.maxsize:
+        errors.append(f"{name}: must be <= {sys.maxsize}")
+    else:
+        return value
+    return None
+
+
+def _walk(doc: dict, table: dict, errors: list[str], prefix: str = "") -> dict:
+    """Every field of ``table`` (a nested table is a required object), checked,
+    with its default where ``doc`` lacks it or it fails (None if required).
+    Adds to ``errors`` each key of ``doc`` that the table lacks, in document
+    order, and then each failure."""
+    errors.extend(f"{prefix}{key}: unknown field" for key in doc if key not in table)
+    out = {}
+    for key, spec in table.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            block = doc.get(key)
+            out[key] = _walk(block, spec, errors, name + ".") if type(block) is dict else None
+            if out[key] is None:
+                errors.append(f"{name}: required object is missing")
+            continue
+        if key not in doc and spec.default is ...:
+            errors.append(f"{name}: required field is missing")
+        value = _checked(doc[key], spec, name, errors) if key in doc else None
+        default = None if spec.default is ... else spec.default
+        out[key] = default if value is None else value
+    return out
+
+
+def _config(path, command: str) -> tuple[dict, list[str]]:
+    """The config file at ``path`` walked against ``command``'s table: the
+    normalised config and the errors found, to which the handler adds its
+    cross-field checks before :func:`_raise_if`."""
     try:
         doc = loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -46,122 +157,57 @@ def _load_config(path) -> dict:
         raise ConfigErrors([f"config: invalid JSON in {path}: {e}"])
     if not isinstance(doc, dict):
         raise ConfigErrors(["config: top level must be a JSON object"])
-    return doc
+    errors: list[str] = []
+    return _walk(doc, TABLES[command], errors), errors
 
 
-class _Validator:
-    """Collects every field error so the user sees all of them at once."""
-
-    def __init__(self, doc: dict, prefix: str = ""):
-        self.doc = doc
-        self.prefix = prefix
-        self.errors: list[str] = []
-
-    def _name(self, field):
-        return f"{self.prefix}{field}"
-
-    def fail(self, field, msg):
-        self.errors.append(f"{self._name(field)}: {msg}")
-
-    def check(self, field, value, kind, expected):
-        """``value`` as a JSON ``kind`` (``_json.typed`` decides), or None after
-        failing ``field`` with ``expected`` (an int no float holds fails as such)."""
-        try:
-            return typed(value, kind, self._name(field))
-        except ValueError as e:
-            out_of_range = kind is float and type(value) is int
-            self.errors.append(str(e) if out_of_range else f"{self._name(field)}: {expected}")
-            return None
-
-    def get(self, field, kind, required=False, default=None, minimum=None):
-        if field not in self.doc:
-            if required:
-                self.fail(field, "required field is missing")
-            return default
-        value = self.doc[field]
-        value = self.check(field, value, kind, f"expected {kind.__name__}, got {type(value).__name__}")
-        if value is None:
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(field, f"must be >= {minimum}, got {value}")
-            return default
-        return value
-
-    def raise_if_failed(self):
-        if self.errors:  # a check run per list entry may fail the same way twice
-            raise ConfigErrors(list(dict.fromkeys(self.errors)))
+def _raise_if(errors: list[str]) -> None:
+    if errors:  # a check run per list entry may fail the same way twice
+        raise ConfigErrors(list(dict.fromkeys(errors)))
 
 
-def _resolve_corpus(v: _Validator) -> lm_harness.Corpus | None:
-    raw = v.get("corpus", str, required=True)
-    fractions = v.doc.get("split_fractions", [0.8, 0.1, 0.1])
-    expected = "expected a list of 3 numbers"
-    if not (isinstance(fractions, list) and len(fractions) == 3):
-        v.fail("split_fractions", expected)
+def _resolve_corpus(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
+    raw, fractions = cfg["corpus"], cfg["split_fractions"]
+    if fractions is not None and len(fractions) != 3:
+        errors.append("split_fractions: expected a list of 3 numbers")
         return None
-    fractions = [v.check("split_fractions", f, float, expected) for f in fractions]
-    if None in fractions or raw is None:
+    if raw is None or fractions is None:
         return None
     path = lm_harness.bundled_corpus_path() if raw == "bundled" else Path(raw)
     if not path.is_file():
-        v.fail("corpus", f"file not found: {path}")
+        errors.append(f"corpus: file not found: {path}")
         return None
     try:
         return lm_harness.load_corpus(path, tuple(fractions))
-    except ValueError as e:
-        v.fail("corpus", str(e))
+    except ValueError as e:  # a fault of the fractions says so; else it is the file's
+        errors.append(f"{'split_fractions' if 'fraction' in str(e) else 'corpus'}: {e}")
         return None
 
 
-def _template_from(v: _Validator) -> lm_harness.TrainTemplate | None:
-    sub = v.doc.get("train")
-    if not isinstance(sub, dict):
-        v.fail("train", "required object is missing")
-        return None
-    tv = _Validator(sub, prefix="train.")
-    kwargs = dict(
-        d=tv.get("d", int, required=True, minimum=1),
-        heads=tv.get("heads", int, required=True, minimum=1),
-        steps=tv.get("steps", int, required=True, minimum=1),
-        batch_size=tv.get("batch_size", int, required=True, minimum=1),
-        context=tv.get("context", int, required=True, minimum=1),
-        lr=tv.get("lr", float, default=1e-3),
-        eval_interval=tv.get("eval_interval", int, default=100, minimum=1),
-        ffn_inner=tv.get("ffn_inner", int, default=0, minimum=0),
-        tie_embeddings=tv.get("tie_embeddings", bool, default=True),
-        pre_norm=tv.get("pre_norm", bool, default=True),
-        dropout=tv.get("dropout", float, default=0.0),
-    )
-    if kwargs["d"] and kwargs["heads"] and kwargs["d"] % kwargs["heads"]:
-        tv.fail("heads", f"must divide d={kwargs['d']}")
-    if not (math.isfinite(kwargs["lr"]) and kwargs["lr"] > 0):
-        tv.fail("lr", f"must be finite and > 0, got {kwargs['lr']}")
-    if not 0.0 <= kwargs["dropout"] < 1.0:
-        tv.fail("dropout", f"must be in [0, 1), got {kwargs['dropout']}")
-    v.errors.extend(tv.errors)
-    if tv.errors:
-        return None
-    return lm_harness.TrainTemplate(**kwargs)
-
-
-def _training_inputs(v: _Validator):
-    """Template and corpus of a training command; splits no trial can use fail."""
-    template = _template_from(v)
-    corpus = _resolve_corpus(v)
+def _training_inputs(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
+    """Corpus of a training command after the checks the table cannot make:
+    the train block's cross-field rules, and splits no trial can use."""
+    train = cfg["train"]
+    if train is not None:
+        d, heads, lr, dropout = train["d"], train["heads"], train["lr"], train["dropout"]
+        if d and heads and d % heads:
+            errors.append(f"train.heads: must divide train.d={d}")
+        if not (math.isfinite(lr) and lr > 0):
+            errors.append(f"train.lr: must be finite and > 0, got {lr}")
+        if not 0.0 <= dropout < 1.0:
+            errors.append(f"train.dropout: must be in [0, 1), got {dropout}")
+    corpus = _resolve_corpus(cfg, errors)
     if corpus is not None:
         n_valid, n_train = corpus.valid_ids.size, corpus.train_ids.size
         if n_valid < 2:
-            v.fail(
-                "split_fractions",
-                f"validation split holds {n_valid} characters, evaluation needs at least 2",
+            errors.append(f"split_fractions: validation split holds {n_valid} characters, evaluation needs at least 2")
+        context = train and train["context"]
+        if context and n_train < context + 1:
+            errors.append(
+                f"split_fractions: train split holds {n_train} characters, "
+                f"train.context={context} needs at least {context + 1}"
             )
-        if template is not None and n_train < template.context + 1:
-            v.fail(
-                "split_fractions",
-                f"train split holds {n_train} characters, "
-                f"train.context={template.context} needs at least {template.context + 1}",
-            )
-    return template, corpus
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +281,27 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    ordering_text = v.get("ordering", str, required=True)
+    cfg, errors = _config(args.config, "train")
     ordering = None
-    if ordering_text is not None:
+    if cfg["ordering"] is not None:
         try:
-            ordering = parse_ordering(ordering_text)
+            ordering = parse_ordering(cfg["ordering"])
         except OrderingError as e:
-            v.fail("ordering", str(e))
-    template, corpus = _training_inputs(v)
-    seed = v.get("seed", int, default=0)
-    sandwich_k = v.get("sandwich_k", int, default=-1)
-    out = v.get("out", str)
-    checkpoint_out = v.get("checkpoint_out", str)
+            errors.append(f"ordering: {e}")
+    corpus = _training_inputs(cfg, errors)
+    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
     for field, path in (("out", out), ("checkpoint_out", checkpoint_out)):
         if path and Path(path).is_dir():
-            v.fail(field, f"names a directory: {path}")
-    v.raise_if_failed()
-    if args.seed is not None:
-        seed = args.seed
+            errors.append(f"{field}: names a directory: {path}")
+    _raise_if(errors)
     for path in (checkpoint_out, out):
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
 
-    cfg = template.instantiate(ordering, corpus.vocab_size, seed)
-    record, model = lm_harness.train_model(cfg, corpus)
-    record.sandwich_k = sandwich_k
+    seed = cfg["seed"] if args.seed is None else args.seed
+    template = lm_harness.TrainTemplate(**cfg["train"])
+    record, model = lm_harness.train_model(template.instantiate(ordering, corpus.vocab_size, seed), corpus)
+    record.sandwich_k = cfg["sandwich_k"]
     if checkpoint_out:
         save_checkpoint(model, checkpoint_out)
     if out:
@@ -276,134 +316,96 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    mode = v.get("mode", str, required=True)
+    cfg, errors = _config(args.config, "search")
+    mode = cfg["mode"]
     if mode is not None and mode not in ("permutation", "budgeted"):
-        v.fail("mode", f"expected permutation|budgeted, got {mode!r}")
-    trials = v.get("trials", int, required=True, minimum=1)
-    n_s = v.get("n_s", int, default=0, minimum=0)
-    n_f = v.get("n_f", int, default=0, minimum=0)
-    budget = v.get("budget", int, default=0, minimum=0)
-    if mode == "permutation" and n_s + n_f < 1:
-        v.fail("n_s", "permutation mode needs n_s + n_f >= 1")
-    if mode == "budgeted" and budget < 1:
-        v.fail("budget", "budgeted mode needs budget >= 1")
-    master_seed = v.get("master_seed", int, default=0)
-    workers = v.get("workers", int, default=1, minimum=1)
-    out = v.get("out", str, required=True)
-    template, corpus = _training_inputs(v)
-    v.raise_if_failed()
-    if args.seed is not None:
-        master_seed = args.seed
+        errors.append(f"mode: expected permutation|budgeted, got {mode!r}")
+    if mode == "permutation" and cfg["n_s"] + cfg["n_f"] < 1:
+        errors.append("n_s: permutation mode needs n_s + n_f >= 1")
+    if mode == "budgeted" and cfg["budget"] < 1:
+        errors.append("budget: budgeted mode needs budget >= 1")
+    corpus = _training_inputs(cfg, errors)
+    _raise_if(errors)
 
     search = lm_harness.SearchConfig(
-        mode=mode,
-        template=template,
-        master_seed=master_seed,
-        out_path=out,
-        trials=trials,
-        n_s=n_s,
-        n_f=n_f,
-        budget=budget,
-        workers=workers,
+        mode=mode, template=lm_harness.TrainTemplate(**cfg["train"]), out_path=cfg["out"],
+        master_seed=cfg["master_seed"] if args.seed is None else args.seed,
+        **{k: cfg[k] for k in ("trials", "n_s", "n_f", "budget", "workers")},
     )
     records = lm_harness.run_random_search(search, corpus)
-    print(f"{len(records)} trials complete -> {out}")
+    print(f"{len(records)} trials complete -> {search.out_path}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    n = v.get("n", int, required=True, minimum=1)
-    k_values = v.doc.get("k_values")
-    if k_values is None and n is not None:
-        k_values = list(range(n))
-    expected = "expected a list of integers"
-    if not isinstance(k_values, list):
-        v.fail("k_values", expected)
-    elif all(v.check("k_values", k, int, expected) is not None for k in k_values) and n is not None:
-        for k in k_values:
-            if not 0 <= k <= n - 1:
-                v.fail("k_values", f"k={k} out of range [0, {n - 1}]")
-    master_seed = v.get("master_seed", int, default=0)
-    workers = v.get("workers", int, default=1, minimum=1)
-    out = v.get("out", str, required=True)
-    template, corpus = _training_inputs(v)
-    v.raise_if_failed()
-    if args.seed is not None:
-        master_seed = args.seed
+    cfg, errors = _config(args.config, "sweep")
+    n, k_values = cfg["n"], cfg["k_values"]
+    for k in k_values if n is not None and k_values is not None else ():
+        if not 0 <= k <= n - 1:
+            errors.append(f"k_values: k={k} out of range [0, {n - 1}] for n={n}")
+    corpus = _training_inputs(cfg, errors)
+    _raise_if(errors)
 
     records = lm_harness.run_sandwich_sweep(
-        n, k_values, template, corpus, out_path=out,
-        master_seed=master_seed, workers=workers,
+        n, range(n) if k_values is None else k_values,
+        lm_harness.TrainTemplate(**cfg["train"]), corpus, out_path=cfg["out"],
+        master_seed=cfg["master_seed"] if args.seed is None else args.seed,
+        workers=cfg["workers"],
     )
-    print(f"{len(records)} sweep trials complete -> {out}")
+    print(f"{len(records)} sweep trials complete -> {cfg['out']}")
     return 0
 
 
 def _cmd_capture(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    ckpt = v.get("checkpoint", str, required=True)
+    cfg, errors = _config(args.config, "capture")
+    ckpt, split, offset, length = cfg["checkpoint"], cfg["split"], cfg["offset"], cfg["length"]
     if ckpt is not None and not Path(ckpt).is_file():
-        v.fail("checkpoint", f"file not found: {ckpt}")
-    split = v.get("split", str, default="valid")
+        errors.append(f"checkpoint: file not found: {ckpt}")
     if split not in ("train", "valid", "test"):
-        v.fail("split", f"expected train|valid|test, got {split!r}")
-    offset = v.get("offset", int, default=0, minimum=0)
-    length = v.get("length", int, default=0, minimum=0)
-    model_id = v.get("model_id", str, default="")
-    out = v.get("out", str, required=True)
-    corpus = _resolve_corpus(v)
+        errors.append(f"split: expected train|valid|test, got {split!r}")
+    corpus = _resolve_corpus(cfg, errors)
     stream = getattr(corpus, f"{split}_ids", None)  # None without a corpus or a valid split
     if stream is not None:
-        if offset >= stream.size:
-            v.fail("offset", f"must be < the {split} split's length {stream.size}, got {offset}")
+        if stream.size == 0:
+            errors.append(f"split_fractions: the {split} split is empty")
+        elif offset >= stream.size:
+            errors.append(f"offset: must be < the {split} split's length {stream.size}, got {offset}")
         elif offset + length > stream.size:
-            v.fail("length", f"window [{offset}, {offset + length}) runs past the {split} split's length {stream.size}")
-    v.raise_if_failed()
+            errors.append(
+                f"length: window [{offset}, {offset + length}) runs past the {split} split's length {stream.size}"
+            )
+    _raise_if(errors)
 
     model = load_checkpoint(ckpt)
     context = model.config.context
     if length > context:
-        v.fail("length", f"must be <= the checkpoint's context {context}, got {length}")
-    v.raise_if_failed()
+        _raise_if([f"length: must be <= the checkpoint's context {context}, got {length}"])
     length = length or min(context, stream.size - offset)
     tokens = stream[offset : offset + length]
-    dump = attn_analysis.capture(model, tokens, model_id=model_id or Path(ckpt).stem)
-    attn_analysis.save_dump(dump, out)
-    print(f"dump: {dump.s_count} sublayers x {dump.heads} heads x {dump.t} tokens -> {out}")
+    dump = attn_analysis.capture(model, tokens, model_id=cfg["model_id"] or Path(ckpt).stem)
+    attn_analysis.save_dump(dump, cfg["out"])
+    print(f"dump: {dump.s_count} sublayers x {dump.heads} heads x {dump.t} tokens -> {cfg['out']}")
     return 0
 
 
 def _cmd_distance(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    paths = v.doc.get("dumps")
-    expected = "expected a list of >=2 dump paths"
-    if not (isinstance(paths, list) and len(paths) >= 2):
-        v.fail("dumps", expected)
-    elif all(v.check("dumps", p, str, expected) is not None for p in paths):
-        for p in paths:
-            if not Path(p).is_file():
-                v.fail("dumps", f"file not found: {p}")
-    groups = v.doc.get("groups")
-    if groups is not None and not isinstance(groups, dict):
-        v.fail("groups", "expected an object mapping model_id to group label")
-    elif groups:
-        for mid, label in groups.items():
-            v.check("groups", label, str, f"label of {mid!r} must be a string, got {label!r}")
-    out = v.get("out", str)
-    v.raise_if_failed()
+    cfg, errors = _config(args.config, "distance")
+    paths, groups = cfg["dumps"], cfg["groups"]
+    for p in paths or ():
+        if not Path(p).is_file():
+            errors.append(f"dumps: file not found: {p}")
+    for mid, label in (groups or {}).items():
+        if type(label) is not str:
+            errors.append(f"groups: label of {mid!r} must be a string, got {label!r}")
+    _raise_if(errors)
 
     dumps = [attn_analysis.load_dump(p) for p in paths]
     if groups:
-        for mid in dict.fromkeys(dump.model_id for dump in dumps):
-            if mid not in groups:
-                v.fail("groups", f"no group label for dumped model_id {mid!r}")
-        v.raise_if_failed()
+        _raise_if([
+            f"groups: no group label for dumped model_id {mid!r}"
+            for mid in dict.fromkeys(dump.model_id for dump in dumps)
+            if mid not in groups
+        ])
     table = attn_analysis.distance_matrix(dumps)
     print("model_id\t" + "\t".join(table.model_ids))
     for mid, row in zip(table.model_ids, table.grand_means):
@@ -419,21 +421,16 @@ def _cmd_distance(args) -> int:
         }
         for key, val in sorted(payload["group_pair_means"].items()):
             print(f"{key}: {val:.9g}")
-    if out:
-        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_analyze_halves(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    records_path = v.get("records", str, required=True)
-    threshold = v.get("threshold", float, default=lm_harness.DEFAULT_REFERENCE_THRESHOLD)
+    cfg, errors = _config(args.config, "analyze-halves")
+    records_path, threshold, metric_field = cfg["records"], cfg["threshold"], cfg["metric_field"]
     if not math.isfinite(threshold):
-        v.fail("threshold", f"must be finite, got {threshold}")
-    include_baselines = v.get("include_baselines", bool, default=False)
-    metric_field = v.get("metric_field", str, default="")
-    out = v.get("out", str)
+        errors.append(f"threshold: must be finite, got {threshold}")
     rows: list[tuple[str, object]] = []
     field = metric_field
     if records_path == "bundled-tables":
@@ -441,20 +438,22 @@ def _cmd_analyze_halves(args) -> int:
         rows = [
             (r["ordering"], r.get(field))
             for r in arch_dsl.load_table_records()
-            if include_baselines or not r["baseline"]
+            if cfg["include_baselines"] or not r["baseline"]
         ]
     elif records_path is not None:
         if not Path(records_path).is_file():
-            v.fail("records", f"file not found: {records_path}")
+            errors.append(f"records: file not found: {records_path}")
         else:
             field = metric_field or "valid_ppl"
             rows = [
                 (rec.ordering, getattr(rec, field, None))
                 for rec in lm_harness.read_results(records_path)
             ]
-    expected = f"{field!r} is not a numeric field of the records"
-    pairs = [(ordering, v.check("metric_field", x, float, expected)) for ordering, x in rows]
-    v.raise_if_failed()
+    try:
+        pairs = [(ordering, typed(x, float, "metric_field")) for ordering, x in rows]
+    except ValueError:
+        errors.append(f"metric_field: {field!r} is not a numeric field of the records")
+    _raise_if(errors)
 
     report = lm_harness.analyze_halves(pairs, threshold)
     print(f"threshold: {report.threshold}")
@@ -469,31 +468,25 @@ def _cmd_analyze_halves(args) -> int:
         )
     for w in report.warnings:
         print(f"warning: {w}")
-    if out:
-        Path(out).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_report(args) -> int:
-    doc = _load_config(args.config)
-    v = _Validator(doc)
-    records_path = v.get("records", str, required=True)
+    cfg, errors = _config(args.config, "report")
+    records_path, formats = cfg["records"], cfg["formats"]
     if records_path is not None and not Path(records_path).is_file():
-        v.fail("records", f"file not found: {records_path}")
-    formats = v.doc.get("formats", list(lm_harness.REPORT_FORMATS))
-    if not (isinstance(formats, list) and formats):
-        v.fail("formats", "expected a non-empty list")
-    else:
-        for f in formats:
-            if f not in lm_harness.REPORT_FORMATS:
-                v.fail("formats", f"unknown format {f!r}")
-    out_dir = v.get("out_dir", str, required=True)
-    v.raise_if_failed()
+        errors.append(f"records: file not found: {records_path}")
+    for f in formats or ():
+        if f not in lm_harness.REPORT_FORMATS:
+            errors.append(f"formats: unknown format {f!r}")
+    _raise_if(errors)
 
     records = lm_harness.read_results(records_path)
     if not records:
         raise ValueError(f"no trial records in {records_path}")
-    written = lm_harness.write_report(records, formats, out_dir)
+    written = lm_harness.write_report(records, formats, cfg["out_dir"])
     for fmt, path in written.items():
         print(f"{fmt}: {path}")
     return 0

@@ -115,12 +115,13 @@ def _edit_first_probabilities(change):
         _replace_line(1, "[1, 2]"),
         _edit_first_probabilities(lambda p: [-5.0, 6.0 - sum(p[2:]), *p[2:]]),
         _edit_first_probabilities(lambda p: [math.nan, *p[1:]]),
+        _edit_first_probabilities(lambda p: [True] + [0.0] * (len(p) - 1)),
     ],
     ids=[
         "duplicate-vector", "negative-layer", "layer-out-of-range", "bool-token",
         "short-vector", "string-vector", "header-without-t", "zero-heads",
         "non-string-model-id", "non-object-header", "non-object-vector",
-        "negative-probability", "nan-probability",
+        "negative-probability", "nan-probability", "bool-probability",
     ],
 )
 def test_load_dump_rejects_inconsistent_files(tmp_path, edit):

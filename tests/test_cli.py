@@ -515,3 +515,36 @@ def test_analyze_halves_non_finite_threshold_exits_2(tmp_path, capsys, threshold
     captured = capsys.readouterr()
     assert "config error: threshold: must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_misspelled_keys_exit_2_before_a_model_is_built(tmp_path, tiny_corpus, capsys, monkeypatch):
+    def never(cfg, corpus):
+        raise AssertionError("a model was built for a config with unknown keys")
+
+    monkeypatch.setattr(lm_harness, "train_model", never)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "sf", "sead": 3, "corpus": str(tiny_corpus),
+        "train": {**train_block(), "lerning_rate": 5.0, "drop_out": 0.5},
+    }))
+    for _ in range(2):
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sead: unknown field",
+            "config error: train.lerning_rate: unknown field",
+            "config error: train.drop_out: unknown field",
+        ]
+
+
+def test_distance_groups_take_any_model_id(tmp_path, capsys):
+    paths = []
+    for mid in ("sead", "train.lerning_rate"):
+        path = tmp_path / f"{mid}.jsonl"
+        probs = np.full((1, 1, 2, 2), 0.5)
+        attn_analysis.save_dump(attn_analysis.AttentionDump(mid, "sf", 1, 2, probs), path)
+        paths.append(str(path))
+    cfg = tmp_path / "dist.json"
+    groups = {"sead": "g", "train.lerning_rate": "h", "not dumped": "h"}
+    cfg.write_text(json.dumps({"dumps": paths, "groups": groups}))
+    assert main(["distance", "--config", str(cfg)]) == 0
+    assert "g--h: 0" in capsys.readouterr().out
