@@ -377,9 +377,15 @@ def _cmd_capture(args) -> int:
     _raise_if(errors)
 
     model = load_checkpoint(ckpt)
-    context = model.config.context
+    context, vocab = model.config.context, model.config.vocab
+    if vocab != corpus.vocab_size:
+        errors.append(
+            f"corpus: its vocabulary (the train split's charset under split_fractions, plus unknown) "
+            f"has {corpus.vocab_size} ids, the checkpoint's model {vocab}"
+        )
     if length > context:
-        _raise_if([f"length: must be <= the checkpoint's context {context}, got {length}"])
+        errors.append(f"length: must be <= the checkpoint's context {context}, got {length}")
+    _raise_if(errors)
     length = length or min(context, stream.size - offset)
     tokens = stream[offset : offset + length]
     dump = attn_analysis.capture(model, tokens, model_id=cfg["model_id"] or Path(ckpt).stem)

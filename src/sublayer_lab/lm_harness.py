@@ -3,21 +3,22 @@
 Runs are deterministic functions of their configuration: model init, batch
 order, and per-trial seeds all derive from explicit integer seeds. Search and
 sweep results go to an append-only JSON Lines file with one record per trial,
-which makes interrupted runs resumable by trial index.
+which makes interrupted runs resumable by trial index. Search and sweep train
+their trials in lockstep cohorts of up to ``workers``, in the caller's thread.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .arch_dsl import (
     sample_permutation,
     sandwich,
 )
-from .model import ModelConfig, TransformerStack, build_model, count_params, forward
+from .model import ModelConfig, TransformerStack, build_cohort, count_params, forward
 from .tensor_core import (
     OptimizerState,
     Tape,
@@ -39,6 +40,7 @@ from .tensor_core import (
     backward,
     cross_entropy_loss,
     no_grad,
+    sum_all,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "derive_seed",
     "train",
     "train_model",
+    "train_cohort",
     "evaluate",
     "run_random_search",
     "run_sandwich_sweep",
@@ -357,38 +360,77 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
     """Train one model with Adam over random causal LM batches.
 
     Returns the record and the trained stack (so callers can checkpoint or
-    capture attention). Bit-reproducible for a given config.
+    capture attention). Bit-reproducible for a given config. This is the
+    one-trial case of :func:`train_cohort`'s lockstep loop.
     """
+    return _train_lockstep([cfg], corpus)[0]
+
+
+def train_cohort(
+    cfgs: Sequence[TrainConfig], corpus: Corpus
+) -> list[tuple[TrialRecord, TransformerStack]]:
+    """Train trials that differ only in ordering and seed in lockstep, as
+    stacked arrays with one tape per step; a cohort of one is a
+    :func:`train_model` call.
+
+    Each trial keeps its own initialization, batch and dropout streams, the
+    loss is the sum of the trials' means, so each gets exactly its own
+    gradient, and one Adam steps the cohort's buffer: every record and
+    model is bit for bit the one ``train_model`` gives for its config.
+    """
+    if len(cfgs) == 1:
+        return [train_model(cfgs[0], corpus)]
+    return _train_lockstep(cfgs, corpus)
+
+
+def _train_lockstep(cfgs, corpus) -> list[tuple[TrialRecord, TransformerStack]]:
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        if replace(other, model=cfg.model, seed=cfg.seed) != cfg:
+            raise ValueError("a cohort's trials may differ in ordering and seed only")
     if corpus.train_ids.size < cfg.context + 1:
         raise ValueError("train split shorter than one context window")
     t0 = time.perf_counter()
-    model = build_model(cfg.model, rng_seed=derive_seed(cfg.seed, 0, "model"))
-    params = model.parameters()
+
+    def streams(label):
+        return [np.random.Generator(np.random.PCG64(derive_seed(c.seed, 0, label))) for c in cfgs]
+
+    cohort = build_cohort([c.model for c in cfgs], [derive_seed(c.seed, 0, "model") for c in cfgs])
+    # one trial steps its own stack: the same arithmetic without a trial axis on every array
+    stacked = len(cfgs) > 1
+    net = cohort if stacked else cohort.models[0]
+    params = net.parameters()
     state = OptimizerState(lr=cfg.lr)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "batch")))
-    drop_rng = None
+    batch_rngs = streams("batch")
+    drop_rngs = None
     if cfg.model.dropout > 0.0:
-        drop_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "dropout")))
-    curve: list[tuple[int, float]] = []
+        drop_rngs = streams("dropout") if stacked else streams("dropout")[0]
+    curves: list[list[tuple[int, float]]] = [[] for _ in cfgs]
     for step in range(1, cfg.steps + 1):
-        x, y = _sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size)
+        batches = [_sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size) for rng in batch_rngs]
+        x, y = (np.stack(part) for part in zip(*batches)) if stacked else batches[0]
         with Tape() as tape:
-            loss = cross_entropy_loss(forward(model, x, dropout_rng=drop_rng), y)
+            losses = cross_entropy_loss(forward(net, x, dropout_rng=drop_rngs), y, stacked=stacked)
+            loss = sum_all(losses) if stacked else losses
         backward(loss, tape)
         adam_step(params, state)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            curve.append((step, float(loss.data)))
-    valid_nats = evaluate(model, corpus.valid_ids, cfg.context)
-    record = TrialRecord.build(
-        ordering=str(cfg.model.ordering),
-        sandwich_k=-1,
-        seed=cfg.seed,
-        loss_curve=curve,
-        valid_nats=valid_nats,
-        param_count=count_params(model),
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    return record, model
+            for curve, value in zip(curves, np.atleast_1d(losses.data).tolist()):
+                curve.append((step, value))
+    out = []
+    for c, model, curve in zip(cfgs, cohort.models, curves):
+        valid_nats = evaluate(model, corpus.valid_ids, c.context)
+        record = TrialRecord.build(
+            ordering=str(c.model.ordering),
+            sandwich_k=-1,
+            seed=c.seed,
+            loss_curve=curve,
+            valid_nats=valid_nats,
+            param_count=count_params(model),
+            wall_clock_s=time.perf_counter() - t0,  # the cohort's training and the evaluations so far
+        )
+        out.append((record, model))
+    return out
 
 
 def train(cfg: TrainConfig, corpus: Corpus) -> TrialRecord:
@@ -507,7 +549,8 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
 
 
 def _run_trials(
-    specs: list[tuple[int, OrderingSpec, int]],
+    count: int,
+    spec_of: Callable[[int], tuple[OrderingSpec, int]],
     template: TrainTemplate,
     corpus: Corpus,
     master_seed: int,
@@ -515,14 +558,16 @@ def _run_trials(
     workers: int,
     header_extra: dict,
 ) -> list[TrialRecord]:
-    """Train every (index, ordering, sandwich_k) trial not already on disk.
+    """Train every trial index below ``count`` not already on disk;
+    ``spec_of(index)`` gives its (ordering, sandwich_k).
 
-    Up to ``workers`` trials train at once; with one worker they train in
-    the caller's thread. Records append to ``out_path`` in spec order, so a
-    finished file is byte-stable across reruns and worker counts except for
-    timestamp metadata. Once every trial before it has finished, a trial
-    that raised cancels the queued ones; those already running finish,
-    unwritten.
+    Pending trials train in lockstep cohorts of up to ``workers``, in index
+    order and in the caller's thread; a trial's spec is drawn only when its
+    cohort forms. Records append to ``out_path`` in index order once their
+    cohort finishes, so a finished file is byte-stable across reruns and
+    worker counts except for timestamp metadata. A trial that raises stops
+    the run: earlier cohorts stay on disk, nothing of its own cohort is
+    written and no later cohort starts, so a rerun resumes at that cohort.
     """
     fh = None
     existing: dict[int, TrialRecord] = {}
@@ -544,29 +589,20 @@ def _run_trials(
             fh.write((json.dumps(header_doc, sort_keys=True) + "\n").encode())
             fh.flush()
 
-    def run_one(spec):
-        index, ordering, sandwich_k = spec
-        cfg = template.instantiate(
-            ordering, corpus.vocab_size, seed=derive_seed(master_seed, index, "train")
-        )
-        rec = train(cfg, corpus)
-        rec.index = index
-        rec.sandwich_k = sandwich_k
-        return rec
-
-    def emit(rec):
-        if fh is not None:
-            fh.write((json.dumps(record_to_json_dict(rec), sort_keys=True) + "\n").encode())
-            fh.flush()
-
-    pending = [s for s in specs if s[0] not in existing]
+    pending = ((i, *spec_of(i)) for i in range(count) if i not in existing)
     done = dict(existing)
     try:
-        # both maps yield in spec order; pool.map cancels its queue on reaching a raised trial
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            for rec in (map if workers <= 1 else pool.map)(run_one, pending):
-                emit(rec)
-                done[rec.index] = rec
+        while cohort := list(itertools.islice(pending, max(workers, 1))):
+            cfgs = [
+                template.instantiate(ordering, corpus.vocab_size, seed=derive_seed(master_seed, index, "train"))
+                for index, ordering, _ in cohort
+            ]
+            for (index, _, sandwich_k), (rec, _) in zip(cohort, train_cohort(cfgs, corpus)):
+                rec.index, rec.sandwich_k = index, sandwich_k
+                if fh is not None:
+                    fh.write((json.dumps(record_to_json_dict(rec), sort_keys=True) + "\n").encode())
+                    fh.flush()
+                done[index] = rec
     finally:
         if fh is not None:
             fh.close()
@@ -579,16 +615,16 @@ def run_random_search(search: SearchConfig, corpus: Corpus) -> list[TrialRecord]
         raise ValueError(f"run_random_search mode must be permutation|budgeted, got {search.mode!r}")
     if search.trials < 1:
         raise ValueError("trials must be >= 1")
-    specs = []
-    for i in range(search.trials):
+
+    def spec_of(i):
         arch_seed = derive_seed(search.master_seed, i, "arch")
         if search.mode == "permutation":
-            ordering = sample_permutation(search.n_s, search.n_f, arch_seed)
-        else:
-            ordering = sample_budgeted(search.budget, arch_seed)
-        specs.append((i, ordering, -1))
+            return sample_permutation(search.n_s, search.n_f, arch_seed), -1
+        return sample_budgeted(search.budget, arch_seed), -1
+
     return _run_trials(
-        specs,
+        search.trials,
+        spec_of,
         search.template,
         corpus,
         search.master_seed,
@@ -614,9 +650,9 @@ def run_sandwich_sweep(
             raise ValueError(f"sandwich coefficient must be an int, got {k!r}")
         if not 0 <= k <= n - 1:
             raise ValueError(f"sandwich coefficient k={k} out of range [0, {n - 1}]")
-    specs = [(i, sandwich(n, k), k) for i, k in enumerate(ks)]
     return _run_trials(
-        specs,
+        len(ks),
+        lambda i: (sandwich(n, ks[i]), ks[i]),
         template,
         corpus,
         master_seed,

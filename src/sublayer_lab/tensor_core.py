@@ -24,9 +24,21 @@ straight into the [N, d] rows the projections read. ``layer_norm`` and
 gradient reduction call ``np.add.reduce`` directly: the same float
 operations, in the same order, as ``ndarray.mean``/``sum``.
 
+Parameters may carry a leading trial axis: weights stacked as [T, ...] with
+activations [T, ...]. Each op computes each trial's slice with the same numpy
+calls, on the same shapes, as one unstacked model does, so a stacked trial
+is bit for bit the trial trained alone. The fused ops and ``layer_norm``,
+whose unstacked weights have a fixed rank, tell a stacked weight by its one
+extra axis, and ``matmul`` broadcasts as ``np.matmul`` does; ``embedding``,
+``slice_rows`` and ``cross_entropy_loss``, whose inputs may have any rank,
+take ``stacked=True``. ``take_rows`` and ``put_rows`` move a subset of trials
+in and out of a stacked activation.
+
 ``adam_step`` keeps the parameters and both Adam moments in one flat buffer
-each: after the first step every parameter's ``data`` is a view into the
-optimizer's buffer, and the update runs over that buffer in fixed blocks.
+each. It adopts the buffer that the parameters already tile in list order
+(``tiled_buffer``); otherwise it copies them into a fresh one. Either
+way every parameter's ``data`` is then a view into the optimizer's buffer,
+and the update runs over that buffer in fixed blocks.
 """
 
 from __future__ import annotations
@@ -54,6 +66,8 @@ __all__ = [
     "swap_axes",
     "embedding",
     "slice_rows",
+    "take_rows",
+    "put_rows",
     "sum_all",
     "mean_all",
     "softmax_rows",
@@ -63,6 +77,8 @@ __all__ = [
     "linear",
     "linear_relu",
     "attention",
+    "tile",
+    "tiled_buffer",
     "OptimizerState",
     "adam_step",
     "finite_difference_check",
@@ -265,14 +281,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data))
+    keep = _shared_lead(a.data.shape[:-2], b.data.shape[:-2])
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # batched activations x 2-d weight: one flat GEMM beats a batched
-            # product followed by a reduction
-            k = a.data.shape[-1]
-            gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, g.shape[-1]))
+        if keep is not None:
+            # b broadcasts over a's trailing batch axes (a 2-d weight, or a
+            # [T, 1, k, n] stacked one): one flat GEMM per weight matrix beats
+            # a batched product followed by a reduction
+            k, n = b.data.shape[-2:]
+            lead = a.data.shape[:keep]
+            x2 = a.data.reshape(*lead, -1, k).swapaxes(-1, -2)
+            gb = np.matmul(x2, g.reshape(*lead, -1, n)).reshape(b.data.shape)
         else:
             gb = _reduce_to_shape(
                 np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape
@@ -280,6 +300,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _reduce_to_shape(ga, a.data.shape), gb
 
     return _record(out, (a, b), bwd)
+
+
+def _shared_lead(a_batch: tuple, b_batch: tuple) -> int | None:
+    """How many leading batch axes ``b`` shares with ``a`` when it broadcasts
+    over all of ``a``'s others (at least one), else None."""
+    b_batch = (1,) * (len(a_batch) - len(b_batch)) + tuple(b_batch)
+    keep = len(b_batch)
+    while keep and b_batch[keep - 1] == 1:
+        keep -= 1
+    if keep < len(a_batch) and b_batch[:keep] == a_batch[:keep]:
+        return keep
+    return None
 
 
 def relu(a: Tensor) -> Tensor:
@@ -298,28 +330,69 @@ def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather: output[..., :] = table[ids[...], :]; backward scatter-adds."""
+def embedding(table: Tensor, ids: np.ndarray, stacked: bool = False) -> Tensor:
+    """Row gather: output[..., :] = table[ids[...], :]; backward scatter-adds.
+    With ``stacked``, a table [T, vocab, ...] takes ids [T, ...], each trial
+    reading its own."""
     ids = np.asarray(ids)
-    out = Tensor(table.data[ids])
+    rows = table.data
+    if stacked:  # offset each trial's ids into its block of the [T * vocab, ...] rows
+        t, vocab = rows.shape[:2]
+        ids = ids + (np.arange(t) * vocab).reshape(-1, *[1] * (ids.ndim - 1))
+        rows = rows.reshape(t * vocab, *rows.shape[2:])
+    out = Tensor(rows[ids])
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        np.add.at(gt.reshape(rows.shape), ids, g)
         return (gt,)
 
     return _record(out, (table,), bwd)
 
 
-def slice_rows(a: Tensor, start: int, length: int) -> Tensor:
-    out = Tensor(a.data[start : start + length])
+def slice_rows(a: Tensor, start: int, length: int, stacked: bool = False) -> Tensor:
+    """Rows ``start:start + length`` of a [rows, ...] tensor, or with
+    ``stacked`` of each trial of a [T, rows, ...] one."""
+    rows = (slice(None),) * stacked + (slice(start, start + length),)
+    out = Tensor(a.data[rows])
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[start : start + length] = g
+        ga[rows] = g
         return (ga,)
 
     return _record(out, (a,), bwd)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """``a``'s leading-axis rows ``rows`` (a copy); backward scatters into zeros."""
+    out = Tensor(a.data[rows])
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[rows] = g
+        return (ga,)
+
+    return _record(out, (a,), bwd)
+
+
+def put_rows(a: Tensor, parts: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
+    """``a`` with the leading-axis rows of each ``(rows, part)`` replaced by
+    ``part``; rows no part names pass ``a`` through."""
+    y = a.data.copy()
+    covered = np.zeros(y.shape[0], dtype=bool)
+    for rows, part in parts:
+        y[rows] = part.data
+        covered[rows] = True
+
+    def bwd(g):
+        ga = None
+        if not covered.all():
+            ga = g.copy()
+            ga[covered] = 0.0
+        return (ga, *[g[rows] for rows, _ in parts])
+
+    return _record(Tensor(y), (a, *[part for _, part in parts]), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -358,13 +431,25 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def _stacked(w: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """``w`` [*lead axes, *core] with singleton axes after its lead axes, so that
+    it broadcasts against an ``ndim``-d activation stacked the same way."""
+    if not lead:
+        return w
+    return w.reshape(w.shape[:lead] + (1,) * (ndim - w.ndim) + w.shape[lead:])
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Means are ``np.add.reduce`` then a division by the axis length, the same
     float operations as ``ndarray.mean``, run in place where they can be.
+    Stacked, gain and bias are [T, d] and x is [T, ..., d].
     """
     n = x.data.shape[-1]
+    lead = gain.ndim - 1
+    gd = _stacked(gain.data, lead, x.ndim)
+    bd = _stacked(bias.data, lead, x.ndim)
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= n
     xhat = x.data - mu
@@ -375,12 +460,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     np.sqrt(ivar, out=ivar)
     np.divide(1.0, ivar, out=ivar)
     xhat *= ivar
-    np.multiply(xhat, gain.data, out=y)
-    y += bias.data
+    np.multiply(xhat, gd, out=y)
+    y += bd
     out = Tensor(y)
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
         mean /= n
         dx = dxhat - mean
@@ -390,18 +475,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(xhat, mean, out=dxhat)
         dx -= dxhat
         dx *= ivar
-        dgain = _reduce_to_shape(g * xhat, gain.data.shape)
-        dbias = _reduce_to_shape(g, bias.data.shape)
+        dgain = _reduce_to_shape(g * xhat, gd.shape).reshape(gain.data.shape)
+        dbias = _reduce_to_shape(g, bd.shape).reshape(bias.data.shape)
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
 
 
-def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+def cross_entropy_loss(logits: Tensor, targets: np.ndarray, stacked: bool = False) -> Tensor:
     """Mean negative log-likelihood in nats over all target positions.
 
     ``targets`` holds integer class ids shaped like ``logits`` minus its last
-    (vocabulary) axis.
+    (vocabulary) axis. With ``stacked``, both carry a leading trial axis and
+    the result is one mean per trial, shape [T].
     """
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
@@ -416,25 +502,36 @@ def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     logsum = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - logsum
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    n = targets.size
-    out = Tensor(-picked.sum() / n)
+    if stacked:  # each trial's sum over its own [..., t] block, as unstacked
+        n = targets[0].size
+        out = Tensor(-np.array([p.sum() for p in picked]) / n)
+    else:
+        n = targets.size
+        out = Tensor(-picked.sum() / n)
 
     def bwd(g):
         p = np.exp(logp)
         gl = p.copy()
-        np.subtract.at(gl.reshape(-1, vocab), (np.arange(n), targets.reshape(-1)), 1.0)
-        return (gl * (g / n),)
+        np.subtract.at(gl.reshape(-1, vocab), (np.arange(targets.size), targets.reshape(-1)), 1.0)
+        return (gl * _stacked(g / n, g.ndim, gl.ndim),)
 
     return _record(out, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity (and no tape node) at rate 0."""
+def dropout(x: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout; identity (and no tape node) at rate 0.
+
+    ``rng`` is a generator, or one generator per trial of a stacked ``x``:
+    each trial then draws its mask from its own stream.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = rng.random(x.data.shape) >= rate
+    if isinstance(rng, np.random.Generator):
+        keep = rng.random(x.data.shape) >= rate
+    else:
+        keep = np.stack([r.random(x.data.shape[1:]) for r in rng]) >= rate
     factor = keep / (1.0 - rate)
     out = Tensor(x.data * factor)
     return _record(out, (x,), lambda g: (g * factor,))
@@ -446,14 +543,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
-    k, n = w.data.shape
-    if x.data.shape[-1] != k or b.data.shape != (n,):
+    k, n = w.data.shape[-2:]
+    lead = w.data.shape[:-2]
+    if x.data.shape[-1] != k or b.data.shape != (*lead, n) or x.data.shape[: len(lead)] != lead:
         raise ValueError(
             f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
         )
-    x2 = x.data.reshape(-1, k)
+    x2 = x.data.reshape(*lead, -1, k)
     y = x2 @ w.data
-    y += b.data
+    y += b.data[..., None, :]
     keep = None
     if relu_out:
         keep = y > 0
@@ -461,17 +559,18 @@ def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
     out = Tensor(y.reshape(*x.data.shape[:-1], n))
 
     def bwd(g):
-        g2 = g.reshape(-1, n)
+        g2 = g.reshape(*lead, -1, n)
         if keep is not None:
             g2 = g2 * keep
-        gx = (g2 @ w.data.T).reshape(x.data.shape)
-        return gx, x2.T @ g2, g2.sum(axis=0)
+        gx = (g2 @ w.data.swapaxes(-1, -2)).reshape(x.data.shape)
+        return gx, x2.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
 
     return _record(out, (x, w, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x [..., k], w [k, n], b [n], as one flat GEMM."""
+    """``x @ w + b`` for x [..., k], w [k, n], b [n], as one flat GEMM (one
+    per trial for stacked x [T, ..., k], w [T, k, n], b [T, n])."""
     return _linear(x, w, b, relu_out=False)
 
 
@@ -483,13 +582,13 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _heads(a: np.ndarray, shape: tuple, heads: int) -> list[np.ndarray]:
     """[*lead, heads, t, d/heads] views of each d-column block of ``a``.
 
-    ``a`` holds [N, k*d] rows for an input shaped ``shape`` = [*lead, t, d];
-    products written through the views land in ``a``.
+    ``a`` holds [*trials, N, k*d] rows for an input shaped ``shape`` =
+    [*lead, t, d]; products written through the views land in ``a``.
     """
     *lead, t, d = shape
     return [
-        np.swapaxes(a[:, i : i + d].reshape(*lead, t, heads, -1), -2, -3)
-        for i in range(0, a.shape[1], d)
+        np.swapaxes(a[..., i : i + d].reshape(*lead, t, heads, -1), -2, -3)
+        for i in range(0, a.shape[-1], d)
     ]
 
 
@@ -517,12 +616,14 @@ def attention(
     keys_values`` Q, K and V come from one GEMM with ``[wq | wk | wv]``;
     otherwise Q comes from one and K, V from another with ``[wk | wv]``.
     ``capture``, when given, receives the [..., heads, t, m] post-softmax
-    probabilities.
+    probabilities. Stacked self-attention takes weights [T, d, d], biases
+    [T, d] and queries [T, ..., t, d].
 
     The scores live key-major, [m, ..., heads, t], and the softmax runs along
     axis 0 (see the module docstring for its rounding).
     """
-    d = wq.data.shape[0]
+    d = wq.data.shape[-1]
+    trials = wq.data.shape[:-2]  # () unstacked, (T,) stacked
     t, m = queries.data.shape[-2], keys_values.data.shape[-2]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -536,10 +637,10 @@ def attention(
         groups = ((queries, (wq,), (bq,)), (keys_values, (wk, wv), (bk, bv)))
     projections, saved = [], []
     for x, ws, bs in groups:
-        x2 = x.data.reshape(-1, d)
-        w = np.concatenate([p.data for p in ws], axis=1)
+        x2 = x.data.reshape(*trials, -1, d)
+        w = np.concatenate([p.data for p in ws], axis=-1)
         y = x2 @ w
-        y += np.concatenate([p.data for p in bs])
+        y += np.concatenate([p.data for p in bs], axis=-1)[..., None, :]
         projections += _heads(y, x.data.shape, heads)
         saved.append((x.data.shape, x2, w))
     q, k, v = projections
@@ -560,22 +661,22 @@ def attention(
     scores /= np.add.reduce(scores, axis=0)
     if capture is not None:
         capture(probs)
-    ctx2 = np.empty((math.prod(shape[:-1]), d))
+    ctx2 = np.empty((*trials, math.prod(shape[len(trials) : -1]), d))
     np.matmul(probs, v, out=_heads(ctx2, shape, heads)[0])
     y = ctx2 @ wo.data
-    y += bo.data
+    y += bo.data[..., None, :]
     out = Tensor(y.reshape(shape))
 
     def bwd(g):
-        g2 = g.reshape(-1, d)
-        (gctx,) = _heads(g2 @ wo.data.T, shape, heads)
+        g2 = g.reshape(*trials, -1, d)
+        (gctx,) = _heads(g2 @ wo.data.swapaxes(-1, -2), shape, heads)
         gscores = np.empty_like(scores)  # d loss / d probs, then d scores
         gz = gscores.transpose(key_last)
         np.matmul(gctx, np.swapaxes(v, -1, -2), out=gz)
         gscores -= np.add.reduce(gscores * scores, axis=0)
         gscores *= scores
         gscores *= scale
-        gys = [np.empty((x2.shape[0], w.shape[1])) for _, x2, w in saved]
+        gys = [np.empty((*x2.shape[:-1], w.shape[-1])) for _, x2, w in saved]
         gq, gk, gv = [
             h for (x_shape, _, _), gy in zip(saved, gys) for h in _heads(gy, x_shape, heads)
         ]
@@ -590,13 +691,14 @@ def attention(
                 gh[...] = _reduce_to_shape(np.matmul(a, b), gh.shape)
         gxs, gws, gbs = [], [], []
         for (x_shape, x2, w), gy in zip(saved, gys):
-            gxs.append((gy @ w.T).reshape(x_shape))
-            gw, gb = x2.T @ gy, np.add.reduce(gy, axis=0)
-            gws += [gw[:, j : j + d] for j in range(0, w.shape[1], d)]
-            gbs += [gb[j : j + d] for j in range(0, w.shape[1], d)]
+            gxs.append((gy @ w.swapaxes(-1, -2)).reshape(x_shape))
+            gw, gb = x2.swapaxes(-1, -2) @ gy, np.add.reduce(gy, axis=-2)
+            gws += [gw[..., j : j + d] for j in range(0, w.shape[-1], d)]
+            gbs += [gb[..., j : j + d] for j in range(0, w.shape[-1], d)]
         if len(gxs) == 1:
             gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
-        return (*gxs, *gws, ctx2.T @ g2, *gbs, np.add.reduce(g2, axis=0))
+        gwo = ctx2.swapaxes(-1, -2) @ g2
+        return (*gxs, *gws, gwo, *gbs, np.add.reduce(g2, axis=-2))
 
     return _record(out, (queries, keys_values, wq, wk, wv, wo, bq, bk, bv, bo), bwd)
 
@@ -610,13 +712,38 @@ def attention(
 ADAM_BLOCK = 16384
 
 
+def tile(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape, in order."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def tiled_buffer(tensors: Sequence[Tensor]) -> np.ndarray | None:
+    """The flat float64 buffer that the tensors' data tile exactly, as
+    consecutive contiguous views in list order, or None."""
+    flat = tensors[0].data.base if tensors else None
+    if flat is None or flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+        return None
+    at = flat.ctypes.data
+    for t in tensors:
+        a = t.data
+        if a.base is not flat or not a.flags.c_contiguous or a.ctypes.data != at:
+            return None
+        at += a.nbytes
+    return flat if at == flat.ctypes.data + flat.nbytes else None
+
+
 class OptimizerState:
     """Adam moments plus hyperparameters; buffers are allocated on the first step.
 
     The parameters, ``m`` and ``v`` each live in one flat float64 buffer.
-    ``adam_step`` rebinds every ``p.data`` to a view into the parameter
-    buffer; rebinding a ``p.data`` afterwards makes the next step re-pack
-    all parameters into a fresh buffer.
+    The first step adopts the buffer the parameters tile, or packs them into
+    a fresh one; rebinding a ``p.data`` afterwards makes the next step do so
+    again.
     """
 
     def __init__(self, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8):
@@ -631,27 +758,25 @@ class OptimizerState:
         self._grads: list[np.ndarray] = []  # per-parameter views into _grad
         self._grad: np.ndarray | None = None
 
-    def _pack(self, params: Sequence[Tensor]) -> None:
+    def _bind(self, params: Sequence[Tensor]) -> None:
         shapes = [p.data.shape for p in params]
         if self.m is not None and shapes != [a.shape for a in self._views]:
             raise ValueError("optimizer state does not match parameter list")
         if len({id(p) for p in params}) != len(params):
             raise ValueError("a parameter is listed twice")
-        sizes = [math.prod(shape) for shape in shapes]
-        total = sum(sizes)
+        flat = tiled_buffer(params)
+        if flat is None:  # pack the parameters into a fresh buffer
+            flat = np.empty(sum(math.prod(shape) for shape in shapes))
+            for p, view in zip(params, tile(flat, shapes)):
+                view[...] = p.data
+                p.data = view
+        self._flat = flat
         if self.m is None:
-            self.m = np.zeros(total)
-            self.v = np.zeros(total)
-            self._grad = np.empty(total)
-        self._flat = np.empty(total)
-        self._views, self._grads, offset = [], [], 0
-        for p, shape, n in zip(params, shapes, sizes):
-            view = self._flat[offset : offset + n].reshape(shape)
-            view[...] = p.data
-            p.data = view
-            self._views.append(view)
-            self._grads.append(self._grad[offset : offset + n].reshape(shape))
-            offset += n
+            self.m = np.zeros(self._flat.size)
+            self.v = np.zeros(self._flat.size)
+            self._grad = np.empty(self._flat.size)
+        self._views = [p.data for p in params]
+        self._grads = tile(self._grad, shapes)
 
 
 def adam_step(params: Sequence[Tensor], state: OptimizerState) -> None:
@@ -663,7 +788,7 @@ def adam_step(params: Sequence[Tensor], state: OptimizerState) -> None:
     if state.m is not None and len(params) != len(state._views):
         raise ValueError("optimizer state does not match parameter list")
     if state.m is None or any(p.data is not a for p, a in zip(params, state._views)):
-        state._pack(params)
+        state._bind(params)
     for p, g in zip(params, state._grads):
         if p.grad is None:
             g.fill(0.0)

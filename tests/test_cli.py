@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sublayer_lab import attn_analysis, lm_harness
+from sublayer_lab.arch_dsl import parse_ordering
 from sublayer_lab.cli import main
+from sublayer_lab.model import ModelConfig, build_model, save_checkpoint
 
 PANGRAM = (
     "Jovial zebras quickly fixed the glum pond; 42 herons watched. " * 60
@@ -432,6 +434,28 @@ def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus,
         err = capsys.readouterr().err
         for message in messages:
             assert f"config error: {message}" in err
+        assert not dump_path.exists()
+
+
+def test_capture_vocabulary_mismatch_exits_2_naming_corpus(tmp_path, tiny_corpus, capsys, monkeypatch):
+    ckpt = tmp_path / "vocab5.ckpt"
+    save_checkpoint(build_model(ModelConfig(d=8, heads=2, vocab=5, context=8, ordering=parse_ordering("sf")), 0), ckpt)
+
+    def never(*args, **kwargs):
+        raise AssertionError("capture ran a model on another corpus's ids")
+
+    monkeypatch.setattr(attn_analysis, "capture", never)
+    dump_path = tmp_path / "d.jsonl"
+    cfg = tmp_path / "c.json"
+    for corpus in ("bundled", str(tiny_corpus)):
+        cfg.write_text(json.dumps({"checkpoint": str(ckpt), "corpus": corpus, "out": str(dump_path)}))
+        capsys.readouterr()
+        assert main(["capture", "--config", str(cfg)]) == 2, corpus
+        size = lm_harness.load_corpus(
+            lm_harness.bundled_corpus_path() if corpus == "bundled" else corpus
+        ).vocab_size
+        err = capsys.readouterr().err
+        assert "config error: corpus: its vocabulary" in err and f"has {size} ids, the checkpoint's model 5" in err
         assert not dump_path.exists()
 
 

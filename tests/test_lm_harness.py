@@ -1,11 +1,13 @@
+import ast
 import json
 import math
-import threading
-import time
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublayer_lab import lm_harness as lm
 from sublayer_lab.arch_dsl import (
@@ -15,7 +17,7 @@ from sublayer_lab.arch_dsl import (
     sandwich,
     total_units,
 )
-from sublayer_lab.model import ModelConfig, build_model, forward
+from sublayer_lab.model import ModelConfig, build_model, forward, save_checkpoint
 from sublayer_lab.tensor_core import Tape, cross_entropy_loss
 
 
@@ -294,23 +296,142 @@ def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
     )
     index_of = {lm.derive_seed(11, i, "train"): i for i in range(8)}
     started = []
-    second_started = threading.Event()
 
-    def stub_train(cfg, corpus):
-        index = index_of[cfg.seed]
-        started.append(index)
-        if index == 0:
-            second_started.wait(5)  # both workers busy when trial 0 fails
+    def stub_train_cohort(cfgs, corpus):
+        indices = [index_of[cfg.seed] for cfg in cfgs]
+        started.extend(indices)
+        if 0 in indices:
             raise RuntimeError("trial 0 failed")
-        second_started.set()
-        time.sleep(1)  # still running when the failure surfaces
-        return lm.TrialRecord.build(str(cfg.model.ordering), -1, cfg.seed, [], 1.0, 0, 0.0)
+        return [(lm.TrialRecord.build(str(c.model.ordering), -1, c.seed, [], 1.0, 0, 0.0), None) for c in cfgs]
 
-    monkeypatch.setattr(lm, "train", stub_train)
+    monkeypatch.setattr(lm, "train_cohort", stub_train_cohort)
     with pytest.raises(RuntimeError, match="trial 0 failed"):
         lm.run_random_search(search, corpus)
     assert 0 in started and len(started) <= search.workers + 1
+    assert started == [0, 1]  # the first cohort, and no later one
     assert len(out.read_text().splitlines()) == 1  # the header; no trial written
+
+
+def test_trials_are_sampled_only_when_their_cohort_forms(tmp_path, monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    calls = []
+    sample = lm.sample_permutation
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    def fail(cfgs, corpus):
+        raise RuntimeError("cohort failed")
+
+    monkeypatch.setattr(lm, "sample_permutation", counted)
+    monkeypatch.setattr(lm, "train_cohort", fail)
+    search = lm.SearchConfig(
+        mode="permutation", template=tiny_template(), master_seed=12,
+        out_path=str(tmp_path / "lazy.jsonl"), trials=10**5, n_s=2, n_f=2, workers=3,
+    )
+    with pytest.raises(RuntimeError, match="cohort failed"):
+        lm.run_random_search(search, corpus)
+    assert 1 <= len(calls) <= search.workers
+
+
+def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_path, monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    search = lm.SearchConfig(
+        mode="permutation", template=tiny_template(steps=2, eval_interval=1), master_seed=13,
+        out_path=str(tmp_path / "resume.jsonl"), trials=5, n_s=2, n_f=1, workers=2,
+    )
+    real, cohorts = lm.train_cohort, []
+
+    def second_fails(cfgs, corpus):
+        cohorts.append(len(cfgs))
+        if len(cohorts) == 2:
+            raise RuntimeError("second cohort failed")
+        return real(cfgs, corpus)
+
+    monkeypatch.setattr(lm, "train_cohort", second_fails)
+    with pytest.raises(RuntimeError, match="second cohort failed"):
+        lm.run_random_search(search, corpus)
+    assert cohorts == [2, 2]  # no third cohort started
+    assert [r.index for r in lm.read_results(search.out_path)] == [0, 1]
+    monkeypatch.setattr(lm, "train_cohort", real)
+    lm.run_random_search(search, corpus)
+    clean = lm.SearchConfig(**{**vars(search), "out_path": str(tmp_path / "clean.jsonl"), "workers": 1})
+    lm.run_random_search(clean, corpus)
+
+    def outside_meta(path):
+        return [{k: v for k, v in json.loads(line).items() if k != "meta"} for line in Path(path).read_text().splitlines()]
+
+    assert outside_meta(search.out_path) == outside_meta(clean.out_path)
+
+
+def _trial_fields(rec):
+    return {k: v for k, v in vars(rec).items() if k != "wall_clock_s"}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    orderings=st.lists(st.text("sf", min_size=1, max_size=5), min_size=1, max_size=4),
+    dropout=st.sampled_from([0.0, 0.1]),
+    tie=st.booleans(),
+    pre_norm=st.booleans(),
+    ffn_inner=st.sampled_from([0, 12]),
+)
+def test_cohort_trials_equal_their_solo_training_bitwise(orderings, dropout, tie, pre_norm, ffn_inner):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    template = lm.TrainTemplate(
+        d=8, heads=2, steps=3, batch_size=2, context=8, eval_interval=2,
+        ffn_inner=ffn_inner, tie_embeddings=tie, pre_norm=pre_norm, dropout=dropout,
+    )
+    cfgs = [
+        template.instantiate(parse_ordering(o), corpus.vocab_size, seed=lm.derive_seed(14, i, "train"))
+        for i, o in enumerate(orderings)
+    ]
+    for cfg, (rec, trained) in zip(cfgs, lm.train_cohort(cfgs, corpus)):
+        alone, alone_model = lm.train_model(cfg, corpus)
+        assert _trial_fields(rec) == _trial_fields(alone)
+        for p, q in zip(trained.parameters(), alone_model.parameters(), strict=True):
+            assert p.data.tobytes() == q.data.tobytes()
+
+
+def test_a_cohort_trial_checkpoints_like_the_trial_trained_alone(tmp_path):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfgs = [
+        tiny_template(steps=2, tie_embeddings=False).instantiate(parse_ordering(o), corpus.vocab_size, seed=i)
+        for i, o in enumerate(("sfsf", "ffs"))
+    ]
+    (_, stacked), _ = lm.train_cohort(cfgs, corpus)
+    _, alone = lm.train_model(cfgs[0], corpus)
+    save_checkpoint(stacked, tmp_path / "stacked.ckpt")  # views of cohort rows
+    save_checkpoint(alone, tmp_path / "alone.ckpt")
+    assert (tmp_path / "stacked.ckpt").read_bytes() == (tmp_path / "alone.ckpt").read_bytes()
+
+
+def test_cohort_configs_may_differ_in_ordering_and_seed_only():
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    a = tiny_template().instantiate(parse_ordering("sf"), corpus.vocab_size, seed=1)
+    for other in (tiny_template(lr=2e-3), tiny_template(dropout=0.1)):
+        b = other.instantiate(parse_ordering("fs"), corpus.vocab_size, seed=2)
+        with pytest.raises(ValueError, match="may differ in"):
+            lm.train_cohort([a, b], corpus)
+
+
+def test_no_package_module_runs_trials_on_threads_or_processes():
+    """Trials run one way, in lockstep cohorts in the caller's thread."""
+    src = Path(lm.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 # -- records ---------------------------------------------------------------------------
