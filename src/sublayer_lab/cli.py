@@ -560,7 +560,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except ConfigErrors as e:
+    except (ConfigErrors, lm_harness.ResumeMismatch) as e:  # a resume under another config is one too
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 2

@@ -3,19 +3,17 @@
 Runs are deterministic functions of their configuration: model init, batch
 order, and per-trial seeds all derive from explicit integer seeds. Search and
 sweep results go to an append-only JSON Lines file with one record per trial,
-which makes interrupted runs resumable by trial index. Search and sweep train
-their trials in lockstep cohorts of up to ``workers``, in the caller's thread.
+which makes interrupted runs resumable by trial index.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -32,7 +30,7 @@ from .arch_dsl import (
     sample_permutation,
     sandwich,
 )
-from .model import ModelConfig, TransformerStack, build_cohort, count_params, forward
+from .model import ModelConfig, TransformerStack, build_model, count_params, forward
 from .tensor_core import (
     OptimizerState,
     Tape,
@@ -40,7 +38,6 @@ from .tensor_core import (
     backward,
     cross_entropy_loss,
     no_grad,
-    sum_all,
 )
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "derive_seed",
     "train",
     "train_model",
-    "train_cohort",
     "evaluate",
     "run_random_search",
     "run_sandwich_sweep",
@@ -66,6 +62,7 @@ __all__ = [
     "record_to_json_dict",
     "record_from_json_dict",
     "read_results",
+    "ResumeMismatch",
     "render_csv",
     "render_markdown",
     "render_svg",
@@ -360,77 +357,38 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
     """Train one model with Adam over random causal LM batches.
 
     Returns the record and the trained stack (so callers can checkpoint or
-    capture attention). Bit-reproducible for a given config. This is the
-    one-trial case of :func:`train_cohort`'s lockstep loop.
+    capture attention). Bit-reproducible for a given config.
     """
-    return _train_lockstep([cfg], corpus)[0]
-
-
-def train_cohort(
-    cfgs: Sequence[TrainConfig], corpus: Corpus
-) -> list[tuple[TrialRecord, TransformerStack]]:
-    """Train trials that differ only in ordering and seed in lockstep, as
-    stacked arrays with one tape per step; a cohort of one is a
-    :func:`train_model` call.
-
-    Each trial keeps its own initialization, batch and dropout streams, the
-    loss is the sum of the trials' means, so each gets exactly its own
-    gradient, and one Adam steps the cohort's buffer: every record and
-    model is bit for bit the one ``train_model`` gives for its config.
-    """
-    if len(cfgs) == 1:
-        return [train_model(cfgs[0], corpus)]
-    return _train_lockstep(cfgs, corpus)
-
-
-def _train_lockstep(cfgs, corpus) -> list[tuple[TrialRecord, TransformerStack]]:
-    cfg = cfgs[0]
-    for other in cfgs[1:]:
-        if replace(other, model=cfg.model, seed=cfg.seed) != cfg:
-            raise ValueError("a cohort's trials may differ in ordering and seed only")
     if corpus.train_ids.size < cfg.context + 1:
         raise ValueError("train split shorter than one context window")
     t0 = time.perf_counter()
-
-    def streams(label):
-        return [np.random.Generator(np.random.PCG64(derive_seed(c.seed, 0, label))) for c in cfgs]
-
-    cohort = build_cohort([c.model for c in cfgs], [derive_seed(c.seed, 0, "model") for c in cfgs])
-    # one trial steps its own stack: the same arithmetic without a trial axis on every array
-    stacked = len(cfgs) > 1
-    net = cohort if stacked else cohort.models[0]
-    params = net.parameters()
+    model = build_model(cfg.model, rng_seed=derive_seed(cfg.seed, 0, "model"))
+    params = model.parameters()
     state = OptimizerState(lr=cfg.lr)
-    batch_rngs = streams("batch")
-    drop_rngs = None
+    rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "batch")))
+    drop_rng = None
     if cfg.model.dropout > 0.0:
-        drop_rngs = streams("dropout") if stacked else streams("dropout")[0]
-    curves: list[list[tuple[int, float]]] = [[] for _ in cfgs]
+        drop_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "dropout")))
+    curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
-        batches = [_sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size) for rng in batch_rngs]
-        x, y = (np.stack(part) for part in zip(*batches)) if stacked else batches[0]
+        x, y = _sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size)
         with Tape() as tape:
-            losses = cross_entropy_loss(forward(net, x, dropout_rng=drop_rngs), y, stacked=stacked)
-            loss = sum_all(losses) if stacked else losses
+            loss = cross_entropy_loss(forward(model, x, dropout_rng=drop_rng), y)
         backward(loss, tape)
         adam_step(params, state)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
-            for curve, value in zip(curves, np.atleast_1d(losses.data).tolist()):
-                curve.append((step, value))
-    out = []
-    for c, model, curve in zip(cfgs, cohort.models, curves):
-        valid_nats = evaluate(model, corpus.valid_ids, c.context)
-        record = TrialRecord.build(
-            ordering=str(c.model.ordering),
-            sandwich_k=-1,
-            seed=c.seed,
-            loss_curve=curve,
-            valid_nats=valid_nats,
-            param_count=count_params(model),
-            wall_clock_s=time.perf_counter() - t0,  # the cohort's training and the evaluations so far
-        )
-        out.append((record, model))
-    return out
+            curve.append((step, float(loss.data)))
+    valid_nats = evaluate(model, corpus.valid_ids, cfg.context)
+    record = TrialRecord.build(
+        ordering=str(cfg.model.ordering),
+        sandwich_k=-1,
+        seed=cfg.seed,
+        loss_curve=curve,
+        valid_nats=valid_nats,
+        param_count=count_params(model),
+        wall_clock_s=time.perf_counter() - t0,
+    )
+    return record, model
 
 
 def train(cfg: TrainConfig, corpus: Corpus) -> TrialRecord:
@@ -491,7 +449,7 @@ class SearchConfig:
     n_s: int = 0
     n_f: int = 0
     budget: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted, no effect: trials train one at a time
 
 
 def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
@@ -548,6 +506,27 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
     return header, records, good_end
 
 
+class ResumeMismatch(ValueError):
+    """A results file's header disagrees with the run that would resume it;
+    carries one message per differing field."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
+def _check_resume(path, header: dict, run: dict) -> None:
+    """Raise :class:`ResumeMismatch` naming each of ``mode``, ``master_seed``
+    and ``sweep_n`` whose value in ``header`` differs from ``run``'s."""
+    errors = [
+        f"{key}: the results file {path} was written with {header.get(key)!r}, this run has {run.get(key)!r}"
+        for key in ("mode", "master_seed", "sweep_n")
+        if header.get(key) != run.get(key)
+    ]
+    if errors:
+        raise ResumeMismatch(errors)
+
+
 def _run_trials(
     count: int,
     spec_of: Callable[[int], tuple[OrderingSpec, int]],
@@ -555,54 +534,53 @@ def _run_trials(
     corpus: Corpus,
     master_seed: int,
     out_path,
-    workers: int,
     header_extra: dict,
 ) -> list[TrialRecord]:
-    """Train every trial index below ``count`` not already on disk;
-    ``spec_of(index)`` gives its (ordering, sandwich_k).
+    """Train every trial index below ``count`` not already on disk, one
+    :func:`train_model` call each, in index order; ``spec_of(index)`` gives
+    its (ordering, sandwich_k) and is called only when the trial starts.
 
-    Pending trials train in lockstep cohorts of up to ``workers``, in index
-    order and in the caller's thread; a trial's spec is drawn only when its
-    cohort forms. Records append to ``out_path`` in index order once their
-    cohort finishes, so a finished file is byte-stable across reruns and
-    worker counts except for timestamp metadata. A trial that raises stops
-    the run: earlier cohorts stay on disk, nothing of its own cohort is
-    written and no later cohort starts, so a rerun resumes at that cohort.
+    Each record appends to ``out_path`` as its trial finishes, so a finished
+    file is byte-stable across reruns except for timestamp metadata. A trial
+    that raises stops the run with the earlier trials on disk, so a rerun
+    resumes at that trial. A file whose header was written by another run
+    (see :func:`_check_resume`) raises before it is opened.
     """
     fh = None
     existing: dict[int, TrialRecord] = {}
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         header, existing, good_end = _scan_results(out_path)
+        header_doc = {
+            "v": RESULTS_VERSION,
+            "kind": "header",
+            "tool": "sublayer-lab",
+            "tool_version": __version__,
+            "master_seed": master_seed,
+            **header_extra,
+            "meta": {"created_unix": int(time.time())},
+        }
+        if header is not None:
+            _check_resume(out_path, header, header_doc)
         fh = open(out_path, "ab")
         fh.truncate(good_end)
         if header is None:
-            header_doc = {
-                "v": RESULTS_VERSION,
-                "kind": "header",
-                "tool": "sublayer-lab",
-                "tool_version": __version__,
-                "master_seed": master_seed,
-                **header_extra,
-                "meta": {"created_unix": int(time.time())},
-            }
             fh.write((json.dumps(header_doc, sort_keys=True) + "\n").encode())
             fh.flush()
 
-    pending = ((i, *spec_of(i)) for i in range(count) if i not in existing)
     done = dict(existing)
     try:
-        while cohort := list(itertools.islice(pending, max(workers, 1))):
-            cfgs = [
-                template.instantiate(ordering, corpus.vocab_size, seed=derive_seed(master_seed, index, "train"))
-                for index, ordering, _ in cohort
-            ]
-            for (index, _, sandwich_k), (rec, _) in zip(cohort, train_cohort(cfgs, corpus)):
-                rec.index, rec.sandwich_k = index, sandwich_k
-                if fh is not None:
-                    fh.write((json.dumps(record_to_json_dict(rec), sort_keys=True) + "\n").encode())
-                    fh.flush()
-                done[index] = rec
+        for index in range(count):
+            if index in existing:
+                continue
+            ordering, sandwich_k = spec_of(index)
+            cfg = template.instantiate(ordering, corpus.vocab_size, seed=derive_seed(master_seed, index, "train"))
+            rec, _ = train_model(cfg, corpus)
+            rec.index, rec.sandwich_k = index, sandwich_k
+            if fh is not None:
+                fh.write((json.dumps(record_to_json_dict(rec), sort_keys=True) + "\n").encode())
+                fh.flush()
+            done[index] = rec
     finally:
         if fh is not None:
             fh.close()
@@ -629,7 +607,6 @@ def run_random_search(search: SearchConfig, corpus: Corpus) -> list[TrialRecord]
         corpus,
         search.master_seed,
         search.out_path,
-        search.workers,
         header_extra={"mode": search.mode},
     )
 
@@ -643,7 +620,8 @@ def run_sandwich_sweep(
     master_seed: int = 0,
     workers: int = 1,
 ) -> list[TrialRecord]:
-    """One trial per sandwich coefficient, identical hyperparameters throughout."""
+    """One trial per sandwich coefficient, identical hyperparameters throughout.
+    ``workers`` is accepted and has no effect: trials train one at a time."""
     ks = list(k_values)
     for k in ks:
         if not isinstance(k, int) or isinstance(k, bool):
@@ -657,7 +635,6 @@ def run_sandwich_sweep(
         corpus,
         master_seed,
         out_path,
-        workers,
         header_extra={"mode": "sandwich_sweep", "sweep_n": n},
     )
 

@@ -7,11 +7,6 @@ feedforward block is a two-layer MLP, ``linear(linear_relu(h))``. So an `s`
 sublayer records 3 tape nodes (norm, attention, residual add) and an `f`
 sublayer 4. Cross-attention (`c`) reads queries from the decoder stream and
 keys/values from a provided memory sequence.
-
-A :class:`Cohort` stacks models of one shape but different orderings for
-lockstep training: at each position the trials with an `s` run one stacked
-sublayer and those with an `f` another, and each trial's own stack is a set
-of views into the cohort's weights.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,11 +32,8 @@ from .tensor_core import (
     linear,
     linear_relu,
     matmul,
-    put_rows,
-    reshape,
     slice_rows,
     swap_axes,
-    take_rows,
     tile,
 )
 
@@ -50,10 +42,8 @@ __all__ = [
     "AttentionParams",
     "FeedforwardParams",
     "TransformerStack",
-    "Cohort",
     "AttentionCapture",
     "build_model",
-    "build_cohort",
     "count_params",
     "self_attention_sublayer",
     "cross_attention_sublayer",
@@ -154,56 +144,6 @@ class TransformerStack:
                 out.append(value)
         return out
 
-    def positions(self) -> list[list["Group"]]:
-        """One group per position, running on every row of the activations."""
-        return [[Group(kind, None, p)] for kind, p in zip(self.config.ordering.kinds, self.sublayers)]
-
-
-@dataclass
-class Group:
-    """The sublayer of one kind at one position of a stack or cohort: its
-    parameters, and the cohort rows (trials) that run it (None: every row)."""
-
-    kind: SublayerKind
-    rows: np.ndarray | None
-    params: SublayerParams
-
-
-@dataclass
-class Cohort:
-    """Stacks of one shape but different orderings, held as stacked weights
-    for lockstep training.
-
-    Each field's tensor stacks the trials' tensors as [T, ...]; at each
-    position, ``groups`` holds one group per kind present there, whose
-    weights stack its member trials' as [T_g, ...]. Every stacked tensor is
-    a view into one flat buffer, in ``tensors`` order, and trial ``j``'s own
-    stack ``models[j]`` is made of views of its rows, so Adam's updates to
-    the buffer are the trials' updates.
-    """
-
-    configs: list[ModelConfig]
-    token_embedding: Tensor  # [T, vocab, d]
-    positional_embedding: Tensor  # [T, context, d]
-    groups: list[list[Group]]  # per position, in kind order
-    final_gain: Tensor  # [T, d]
-    final_bias: Tensor
-    output_projection: Tensor | None  # [T, d, vocab]; None when tied
-    models: list[TransformerStack]
-    tensors: list[Tensor]  # every stacked tensor, in buffer order
-
-    @property
-    def config(self) -> ModelConfig:
-        """The fields every trial shares (its ordering is the first trial's)."""
-        return self.configs[0]
-
-    def parameters(self) -> list[Tensor]:
-        """The stacked tensors in buffer order."""
-        return list(self.tensors)
-
-    def positions(self) -> list[list[Group]]:
-        return self.groups
-
 
 def _field_values(obj) -> list:
     return [getattr(obj, f.name) for f in fields(obj)]
@@ -230,72 +170,41 @@ class AttentionCapture:
         return np.stack(maps)
 
 
-def _sublayer_shapes(kind: SublayerKind, config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Field name -> shape of one sublayer of ``kind``, in declaration order."""
-    d, inner = config.d, config.ffn_inner
-    if kind is SublayerKind.FEEDFORWARD:
-        shapes = {"w1": (d, inner), "b1": (inner,), "w2": (inner, d), "b2": (d,)}
-    else:
-        shapes = {name: (d, d) for name in ("wq", "wk", "wv", "wo")}
-        shapes.update((name, (d,)) for name in ("bq", "bk", "bv", "bo"))
-    return {**shapes, "norm_gain": (d,), "norm_bias": (d,)}
-
-
-def _outer_shapes(config: ModelConfig) -> tuple[dict, dict]:
-    """Field name -> shape of the stack's own parameters: those before the
-    sublayers, and those after them."""
-    d = config.d
-    head = {"token_embedding": (config.vocab, d), "positional_embedding": (config.context, d)}
-    tail = {"final_gain": (d,), "final_bias": (d,)}
-    if not config.tie_embeddings:
-        tail["output_projection"] = (d, config.vocab)
-    return head, tail
-
-
 def _layout(config: ModelConfig):
     """Yield ``(sublayer index or None, field name, shape)`` for every parameter
     in declaration order, which is parameters() order and checkpoint order."""
-    head, tail = _outer_shapes(config)
-    yield from ((None, name, shape) for name, shape in head.items())
+    d, inner = config.d, config.ffn_inner
+    yield None, "token_embedding", (config.vocab, d)
+    yield None, "positional_embedding", (config.context, d)
     for i, kind in enumerate(config.ordering.kinds):
-        for name, shape in _sublayer_shapes(kind, config).items():
+        if kind is SublayerKind.FEEDFORWARD:
+            shapes = {"w1": (d, inner), "b1": (inner,), "w2": (inner, d), "b2": (d,)}
+        else:
+            shapes = {name: (d, d) for name in ("wq", "wk", "wv", "wo")}
+            shapes.update((name, (d,)) for name in ("bq", "bk", "bv", "bo"))
+        for name, shape in {**shapes, "norm_gain": (d,), "norm_bias": (d,)}.items():
             yield i, name, shape
-    yield from ((None, name, shape) for name, shape in tail.items())
-
-
-def _shapes(config: ModelConfig) -> list[tuple[int, ...]]:
-    return [shape for *_, shape in _layout(config)]
+    yield from ((None, "final_gain", (d,)), (None, "final_bias", (d,)))
+    if not config.tie_embeddings:
+        yield None, "output_projection", (d, config.vocab)
 
 
 def _param_floats(config: ModelConfig) -> int:
-    return sum(math.prod(shape) for shape in _shapes(config))
+    return sum(math.prod(shape) for *_, shape in _layout(config))
 
 
-def _sublayer(kind: SublayerKind, fields: dict) -> SublayerParams:
-    return (FeedforwardParams if kind is SublayerKind.FEEDFORWARD else AttentionParams)(**fields)
-
-
-def _assemble(config: ModelConfig, arrays) -> TransformerStack:
-    """A stack whose tensors wrap ``arrays``, one per :func:`_layout` entry, in order."""
+def _assemble(config: ModelConfig, flat: np.ndarray) -> TransformerStack:
+    """A stack whose tensors are consecutive views into ``flat``, laid out by :func:`_layout`."""
     own: dict[str, Tensor | None] = {"output_projection": None}
     subs: list[dict[str, Tensor]] = [{} for _ in config.ordering.kinds]
-    for (i, name, _), a in zip(_layout(config), arrays):
+    layout = list(_layout(config))
+    for (i, name, _), a in zip(layout, tile(flat, [shape for *_, shape in layout])):
         (own if i is None else subs[i])[name] = Tensor(a)
-    sublayers = [_sublayer(kind, views) for kind, views in zip(config.ordering.kinds, subs)]
+    sublayers = [
+        (FeedforwardParams if kind is SublayerKind.FEEDFORWARD else AttentionParams)(**views)
+        for kind, views in zip(config.ordering.kinds, subs)
+    ]
     return TransformerStack(config=config, sublayers=sublayers, **own)
-
-
-def _initialize(model: TransformerStack, rng_seed: int) -> None:
-    """Fill a zeroed stack: matrices scaled-uniform, drawn in declaration
-    order, biases zero, gains one."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    for (_, name, shape), p in zip(_layout(model.config), model.parameters()):
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            p.data[...] = rng.uniform(-limit, limit, size=shape)
-        elif name.endswith("gain"):
-            p.data.fill(1.0)
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
@@ -304,59 +213,16 @@ def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
 
     Deterministic for a given seed: matrices are drawn in declaration order.
     """
-    model = _assemble(config, tile(np.zeros(_param_floats(config)), _shapes(config)))
-    _initialize(model, rng_seed)
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    model = _assemble(config, np.zeros(_param_floats(config)))
+    for (_, name, shape), p in zip(_layout(config), model.parameters()):
+        if len(shape) == 2:
+            fan_in, fan_out = shape
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            p.data[...] = rng.uniform(-limit, limit, size=shape)
+        elif name.endswith("gain"):
+            p.data.fill(1.0)
     return model
-
-
-def build_cohort(configs: list[ModelConfig], rng_seeds: list[int]) -> Cohort:
-    """Stack ``configs``' models, each initialized exactly as
-    ``build_model(config, seed)``, over one flat buffer.
-
-    The configs may differ in their orderings only; a budgeted cohort's
-    shallower trials join no group past their depth.
-    """
-    first = configs[0]
-    for c in configs[1:]:
-        if replace(c, ordering=first.ordering) != first:
-            raise ValueError("a cohort's models may differ in their orderings only")
-    depth = max(len(c.ordering.kinds) for c in configs)
-    everyone = list(range(len(configs)))
-    head, tail = _outer_shapes(first)
-    # (field owner key, field name, per-trial shape, member trials) in buffer order:
-    # the stack's layout, with one group per (position, kind) for the sublayers
-    entries = [(None, name, shape, everyone) for name, shape in head.items()]
-    members_at: dict[tuple, list[int]] = {}  # (position, kind) -> the trials with that kind there
-    for i in range(depth):
-        for kind in SublayerKind:
-            members = [j for j, c in enumerate(configs) if c.ordering.kinds[i : i + 1] == (kind,)]
-            if members:
-                members_at[i, kind] = members
-                entries += [((i, kind), name, shape, members) for name, shape in _sublayer_shapes(kind, first).items()]
-    entries += [(None, name, shape, everyone) for name, shape in tail.items()]
-    sizes = [(len(members), *shape) for _, _, shape, members in entries]
-    tensors = [Tensor(a) for a in tile(np.zeros(sum(math.prod(s) for s in sizes)), sizes)]
-    own: dict[str, Tensor | None] = {"output_projection": None}
-    by_group: dict[tuple, dict[str, Tensor]] = {}
-    trial_arrays: list[dict[tuple, np.ndarray]] = [{} for _ in configs]
-    for (key, name, _, members), t in zip(entries, tensors):
-        if key is None:
-            own[name] = t
-        else:
-            by_group.setdefault(key, {})[name] = t
-        for r, j in enumerate(members):
-            trial_arrays[j][(key[0] if key else None, name)] = t.data[r]
-    groups: list[list[Group]] = [[] for _ in range(depth)]
-    for (i, kind), f in by_group.items():
-        members = members_at[i, kind]
-        rows = None if members == everyone else np.array(members)
-        groups[i].append(Group(kind, rows, _sublayer(kind, f)))
-    models = []
-    for c, seed, arrays in zip(configs, rng_seeds, trial_arrays):
-        model = _assemble(c, [arrays[(i, name)] for i, name, _ in _layout(c)])
-        _initialize(model, seed)
-        models.append(model)
-    return Cohort(configs=list(configs), groups=groups, models=models, tensors=tensors, **own)
 
 
 def count_params(
@@ -478,71 +344,53 @@ def feedforward_sublayer(
 
 
 def forward(
-    model: TransformerStack | Cohort,
+    model: TransformerStack,
     tokens: np.ndarray,
     capture: AttentionCapture | None = None,
     memory: Tensor | None = None,
-    dropout_rng=None,
+    dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Token ids [t] or [batch, t] -> logits [t, vocab] or [batch, t, vocab].
 
     Decoder orderings (containing `c`) additionally require ``memory``.
     Inverted dropout at ``config.dropout`` applies to each residual branch
     only when ``dropout_rng`` is passed (training); inference omits it.
-
-    A :class:`Cohort` takes tokens [T, batch, t] and one dropout generator
-    per trial, and gives stacked logits [T, batch, t, vocab]; at a position
-    where not every trial runs one group, each group runs on its trials'
-    rows and trials past their depth pass through.
     """
     cfg = model.config
-    stacked = isinstance(model, Cohort)
     tokens = np.asarray(tokens)
-    if tokens.ndim - stacked not in (1, 2):
+    if tokens.ndim not in (1, 2):
         raise ValueError(f"tokens must be 1-d or 2-d, got shape {tokens.shape}")
     t = tokens.shape[-1]
     if t < 1 or t > cfg.context:
         raise ValueError(f"sequence length {t} outside [1, {cfg.context}]")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise ValueError(f"token id out of range [0, {cfg.vocab})")
-    batched_trials = stacked and tokens.ndim == 3
-    positions = slice_rows(model.positional_embedding, 0, t, stacked=stacked)
-    if batched_trials:  # each trial's positions broadcast over its batch
-        positions = reshape(positions, (positions.shape[0], 1, *positions.shape[1:]))
-    x = embedding(model.token_embedding, tokens, stacked=stacked) + positions
+    x = embedding(model.token_embedding, tokens) + slice_rows(
+        model.positional_embedding, 0, t
+    )
     rate = cfg.dropout if dropout_rng is not None else 0.0
-    for groups in model.positions():
-        parts = []
-        for group in groups:
-            h, rng = x, dropout_rng
-            if group.rows is not None:
-                h = take_rows(x, group.rows)
-                rng = None if rng is None else [rng[j] for j in group.rows]
-            parts.append((group.rows, _sublayer_forward(group, h, cfg, capture, memory, rate, rng)))
-        x = parts[0][1] if parts[0][0] is None else put_rows(x, parts)
+    for kind, p in zip(cfg.ordering.kinds, model.sublayers):
+        if kind is SublayerKind.SELF_ATTENTION:
+            x = self_attention_sublayer(
+                x, p, cfg.heads, capture=capture,
+                pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng,
+            )
+        elif kind is SublayerKind.FEEDFORWARD:
+            x = feedforward_sublayer(
+                x, p, pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng
+            )
+        else:
+            if memory is None:
+                raise ValueError("ordering contains 'c' but no memory was provided")
+            x = cross_attention_sublayer(
+                x, memory, p, cfg.heads, capture=capture,
+                pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng,
+            )
     if cfg.pre_norm:
         x = layer_norm(x, model.final_gain, model.final_bias)
-    w = model.output_projection
-    if w is None:
-        w = swap_axes(model.token_embedding, -1, -2)
-    if batched_trials:  # each trial's [d, vocab] output weights broadcast over its batch
-        w = reshape(w, (w.shape[0], 1, *w.shape[1:]))
-    return matmul(x, w)
-
-
-def _sublayer_forward(group: Group, x, cfg, capture, memory, rate, rng) -> Tensor:
-    p = group.params
-    if group.kind is SublayerKind.SELF_ATTENTION:
-        return self_attention_sublayer(
-            x, p, cfg.heads, capture=capture, pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=rng,
-        )
-    if group.kind is SublayerKind.FEEDFORWARD:
-        return feedforward_sublayer(x, p, pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=rng)
-    if memory is None:
-        raise ValueError("ordering contains 'c' but no memory was provided")
-    return cross_attention_sublayer(
-        x, memory, p, cfg.heads, capture=capture, pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=rng,
-    )
+    if model.output_projection is not None:
+        return matmul(x, model.output_projection)
+    return matmul(x, swap_axes(model.token_embedding, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -630,4 +478,4 @@ def load_checkpoint(path) -> TransformerStack:
             raise ValueError("checkpoint truncated in its parameters")
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
-    return _assemble(config, tile(flat, _shapes(config)))
+    return _assemble(config, flat)

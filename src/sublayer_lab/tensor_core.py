@@ -24,16 +24,6 @@ straight into the [N, d] rows the projections read. ``layer_norm`` and
 gradient reduction call ``np.add.reduce`` directly: the same float
 operations, in the same order, as ``ndarray.mean``/``sum``.
 
-Parameters may carry a leading trial axis: weights stacked as [T, ...] with
-activations [T, ...]. Each op computes each trial's slice with the same numpy
-calls, on the same shapes, as one unstacked model does, so a stacked trial
-is bit for bit the trial trained alone. The fused ops and ``layer_norm``,
-whose unstacked weights have a fixed rank, tell a stacked weight by its one
-extra axis, and ``matmul`` broadcasts as ``np.matmul`` does; ``embedding``,
-``slice_rows`` and ``cross_entropy_loss``, whose inputs may have any rank,
-take ``stacked=True``. ``take_rows`` and ``put_rows`` move a subset of trials
-in and out of a stacked activation.
-
 ``adam_step`` keeps the parameters and both Adam moments in one flat buffer
 each. It adopts the buffer that the parameters already tile in list order
 (``tiled_buffer``); otherwise it copies them into a fresh one. Either
@@ -66,8 +56,6 @@ __all__ = [
     "swap_axes",
     "embedding",
     "slice_rows",
-    "take_rows",
-    "put_rows",
     "sum_all",
     "mean_all",
     "softmax_rows",
@@ -281,18 +269,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data))
-    keep = _shared_lead(a.data.shape[:-2], b.data.shape[:-2])
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if keep is not None:
-            # b broadcasts over a's trailing batch axes (a 2-d weight, or a
-            # [T, 1, k, n] stacked one): one flat GEMM per weight matrix beats
-            # a batched product followed by a reduction
-            k, n = b.data.shape[-2:]
-            lead = a.data.shape[:keep]
-            x2 = a.data.reshape(*lead, -1, k).swapaxes(-1, -2)
-            gb = np.matmul(x2, g.reshape(*lead, -1, n)).reshape(b.data.shape)
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # batched activations x 2-d weight: one flat GEMM beats a batched
+            # product followed by a reduction
+            k = a.data.shape[-1]
+            gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, g.shape[-1]))
         else:
             gb = _reduce_to_shape(
                 np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape
@@ -300,18 +284,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _reduce_to_shape(ga, a.data.shape), gb
 
     return _record(out, (a, b), bwd)
-
-
-def _shared_lead(a_batch: tuple, b_batch: tuple) -> int | None:
-    """How many leading batch axes ``b`` shares with ``a`` when it broadcasts
-    over all of ``a``'s others (at least one), else None."""
-    b_batch = (1,) * (len(a_batch) - len(b_batch)) + tuple(b_batch)
-    keep = len(b_batch)
-    while keep and b_batch[keep - 1] == 1:
-        keep -= 1
-    if keep < len(a_batch) and b_batch[:keep] == a_batch[:keep]:
-        return keep
-    return None
 
 
 def relu(a: Tensor) -> Tensor:
@@ -330,69 +302,28 @@ def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
-def embedding(table: Tensor, ids: np.ndarray, stacked: bool = False) -> Tensor:
-    """Row gather: output[..., :] = table[ids[...], :]; backward scatter-adds.
-    With ``stacked``, a table [T, vocab, ...] takes ids [T, ...], each trial
-    reading its own."""
+def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row gather: output[..., :] = table[ids[...], :]; backward scatter-adds."""
     ids = np.asarray(ids)
-    rows = table.data
-    if stacked:  # offset each trial's ids into its block of the [T * vocab, ...] rows
-        t, vocab = rows.shape[:2]
-        ids = ids + (np.arange(t) * vocab).reshape(-1, *[1] * (ids.ndim - 1))
-        rows = rows.reshape(t * vocab, *rows.shape[2:])
-    out = Tensor(rows[ids])
+    out = Tensor(table.data[ids])
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt.reshape(rows.shape), ids, g)
+        np.add.at(gt, ids, g)
         return (gt,)
 
     return _record(out, (table,), bwd)
 
 
-def slice_rows(a: Tensor, start: int, length: int, stacked: bool = False) -> Tensor:
-    """Rows ``start:start + length`` of a [rows, ...] tensor, or with
-    ``stacked`` of each trial of a [T, rows, ...] one."""
-    rows = (slice(None),) * stacked + (slice(start, start + length),)
-    out = Tensor(a.data[rows])
+def slice_rows(a: Tensor, start: int, length: int) -> Tensor:
+    out = Tensor(a.data[start : start + length])
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[rows] = g
+        ga[start : start + length] = g
         return (ga,)
 
     return _record(out, (a,), bwd)
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """``a``'s leading-axis rows ``rows`` (a copy); backward scatters into zeros."""
-    out = Tensor(a.data[rows])
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[rows] = g
-        return (ga,)
-
-    return _record(out, (a,), bwd)
-
-
-def put_rows(a: Tensor, parts: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """``a`` with the leading-axis rows of each ``(rows, part)`` replaced by
-    ``part``; rows no part names pass ``a`` through."""
-    y = a.data.copy()
-    covered = np.zeros(y.shape[0], dtype=bool)
-    for rows, part in parts:
-        y[rows] = part.data
-        covered[rows] = True
-
-    def bwd(g):
-        ga = None
-        if not covered.all():
-            ga = g.copy()
-            ga[covered] = 0.0
-        return (ga, *[g[rows] for rows, _ in parts])
-
-    return _record(Tensor(y), (a, *[part for _, part in parts]), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -431,25 +362,13 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _stacked(w: np.ndarray, lead: int, ndim: int) -> np.ndarray:
-    """``w`` [*lead axes, *core] with singleton axes after its lead axes, so that
-    it broadcasts against an ``ndim``-d activation stacked the same way."""
-    if not lead:
-        return w
-    return w.reshape(w.shape[:lead] + (1,) * (ndim - w.ndim) + w.shape[lead:])
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Means are ``np.add.reduce`` then a division by the axis length, the same
     float operations as ``ndarray.mean``, run in place where they can be.
-    Stacked, gain and bias are [T, d] and x is [T, ..., d].
     """
     n = x.data.shape[-1]
-    lead = gain.ndim - 1
-    gd = _stacked(gain.data, lead, x.ndim)
-    bd = _stacked(bias.data, lead, x.ndim)
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= n
     xhat = x.data - mu
@@ -460,12 +379,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     np.sqrt(ivar, out=ivar)
     np.divide(1.0, ivar, out=ivar)
     xhat *= ivar
-    np.multiply(xhat, gd, out=y)
-    y += bd
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
     out = Tensor(y)
 
     def bwd(g):
-        dxhat = g * gd
+        dxhat = g * gain.data
         mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
         mean /= n
         dx = dxhat - mean
@@ -475,19 +394,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(xhat, mean, out=dxhat)
         dx -= dxhat
         dx *= ivar
-        dgain = _reduce_to_shape(g * xhat, gd.shape).reshape(gain.data.shape)
-        dbias = _reduce_to_shape(g, bd.shape).reshape(bias.data.shape)
+        dgain = _reduce_to_shape(g * xhat, gain.data.shape)
+        dbias = _reduce_to_shape(g, bias.data.shape)
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
 
 
-def cross_entropy_loss(logits: Tensor, targets: np.ndarray, stacked: bool = False) -> Tensor:
+def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood in nats over all target positions.
 
     ``targets`` holds integer class ids shaped like ``logits`` minus its last
-    (vocabulary) axis. With ``stacked``, both carry a leading trial axis and
-    the result is one mean per trial, shape [T].
+    (vocabulary) axis.
     """
     targets = np.asarray(targets)
     vocab = logits.data.shape[-1]
@@ -502,36 +420,25 @@ def cross_entropy_loss(logits: Tensor, targets: np.ndarray, stacked: bool = Fals
     logsum = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - logsum
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    if stacked:  # each trial's sum over its own [..., t] block, as unstacked
-        n = targets[0].size
-        out = Tensor(-np.array([p.sum() for p in picked]) / n)
-    else:
-        n = targets.size
-        out = Tensor(-picked.sum() / n)
+    n = targets.size
+    out = Tensor(-picked.sum() / n)
 
     def bwd(g):
         p = np.exp(logp)
         gl = p.copy()
-        np.subtract.at(gl.reshape(-1, vocab), (np.arange(targets.size), targets.reshape(-1)), 1.0)
-        return (gl * _stacked(g / n, g.ndim, gl.ndim),)
+        np.subtract.at(gl.reshape(-1, vocab), (np.arange(n), targets.reshape(-1)), 1.0)
+        return (gl * (g / n),)
 
     return _record(out, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity (and no tape node) at rate 0.
-
-    ``rng`` is a generator, or one generator per trial of a stacked ``x``:
-    each trial then draws its mask from its own stream.
-    """
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; identity (and no tape node) at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    if isinstance(rng, np.random.Generator):
-        keep = rng.random(x.data.shape) >= rate
-    else:
-        keep = np.stack([r.random(x.data.shape[1:]) for r in rng]) >= rate
+    keep = rng.random(x.data.shape) >= rate
     factor = keep / (1.0 - rate)
     out = Tensor(x.data * factor)
     return _record(out, (x,), lambda g: (g * factor,))
@@ -543,15 +450,14 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
-    k, n = w.data.shape[-2:]
-    lead = w.data.shape[:-2]
-    if x.data.shape[-1] != k or b.data.shape != (*lead, n) or x.data.shape[: len(lead)] != lead:
+    k, n = w.data.shape
+    if x.data.shape[-1] != k or b.data.shape != (n,):
         raise ValueError(
             f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
         )
-    x2 = x.data.reshape(*lead, -1, k)
+    x2 = x.data.reshape(-1, k)
     y = x2 @ w.data
-    y += b.data[..., None, :]
+    y += b.data
     keep = None
     if relu_out:
         keep = y > 0
@@ -559,18 +465,17 @@ def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
     out = Tensor(y.reshape(*x.data.shape[:-1], n))
 
     def bwd(g):
-        g2 = g.reshape(*lead, -1, n)
+        g2 = g.reshape(-1, n)
         if keep is not None:
             g2 = g2 * keep
-        gx = (g2 @ w.data.swapaxes(-1, -2)).reshape(x.data.shape)
-        return gx, x2.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
+        gx = (g2 @ w.data.T).reshape(x.data.shape)
+        return gx, x2.T @ g2, g2.sum(axis=0)
 
     return _record(out, (x, w, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x [..., k], w [k, n], b [n], as one flat GEMM (one
-    per trial for stacked x [T, ..., k], w [T, k, n], b [T, n])."""
+    """``x @ w + b`` for x [..., k], w [k, n], b [n], as one flat GEMM."""
     return _linear(x, w, b, relu_out=False)
 
 
@@ -582,13 +487,13 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _heads(a: np.ndarray, shape: tuple, heads: int) -> list[np.ndarray]:
     """[*lead, heads, t, d/heads] views of each d-column block of ``a``.
 
-    ``a`` holds [*trials, N, k*d] rows for an input shaped ``shape`` =
-    [*lead, t, d]; products written through the views land in ``a``.
+    ``a`` holds [N, k*d] rows for an input shaped ``shape`` = [*lead, t, d];
+    products written through the views land in ``a``.
     """
     *lead, t, d = shape
     return [
-        np.swapaxes(a[..., i : i + d].reshape(*lead, t, heads, -1), -2, -3)
-        for i in range(0, a.shape[-1], d)
+        np.swapaxes(a[:, i : i + d].reshape(*lead, t, heads, -1), -2, -3)
+        for i in range(0, a.shape[1], d)
     ]
 
 
@@ -616,14 +521,12 @@ def attention(
     keys_values`` Q, K and V come from one GEMM with ``[wq | wk | wv]``;
     otherwise Q comes from one and K, V from another with ``[wk | wv]``.
     ``capture``, when given, receives the [..., heads, t, m] post-softmax
-    probabilities. Stacked self-attention takes weights [T, d, d], biases
-    [T, d] and queries [T, ..., t, d].
+    probabilities.
 
     The scores live key-major, [m, ..., heads, t], and the softmax runs along
     axis 0 (see the module docstring for its rounding).
     """
-    d = wq.data.shape[-1]
-    trials = wq.data.shape[:-2]  # () unstacked, (T,) stacked
+    d = wq.data.shape[0]
     t, m = queries.data.shape[-2], keys_values.data.shape[-2]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -637,10 +540,10 @@ def attention(
         groups = ((queries, (wq,), (bq,)), (keys_values, (wk, wv), (bk, bv)))
     projections, saved = [], []
     for x, ws, bs in groups:
-        x2 = x.data.reshape(*trials, -1, d)
-        w = np.concatenate([p.data for p in ws], axis=-1)
+        x2 = x.data.reshape(-1, d)
+        w = np.concatenate([p.data for p in ws], axis=1)
         y = x2 @ w
-        y += np.concatenate([p.data for p in bs], axis=-1)[..., None, :]
+        y += np.concatenate([p.data for p in bs])
         projections += _heads(y, x.data.shape, heads)
         saved.append((x.data.shape, x2, w))
     q, k, v = projections
@@ -661,22 +564,22 @@ def attention(
     scores /= np.add.reduce(scores, axis=0)
     if capture is not None:
         capture(probs)
-    ctx2 = np.empty((*trials, math.prod(shape[len(trials) : -1]), d))
+    ctx2 = np.empty((math.prod(shape[:-1]), d))
     np.matmul(probs, v, out=_heads(ctx2, shape, heads)[0])
     y = ctx2 @ wo.data
-    y += bo.data[..., None, :]
+    y += bo.data
     out = Tensor(y.reshape(shape))
 
     def bwd(g):
-        g2 = g.reshape(*trials, -1, d)
-        (gctx,) = _heads(g2 @ wo.data.swapaxes(-1, -2), shape, heads)
+        g2 = g.reshape(-1, d)
+        (gctx,) = _heads(g2 @ wo.data.T, shape, heads)
         gscores = np.empty_like(scores)  # d loss / d probs, then d scores
         gz = gscores.transpose(key_last)
         np.matmul(gctx, np.swapaxes(v, -1, -2), out=gz)
         gscores -= np.add.reduce(gscores * scores, axis=0)
         gscores *= scores
         gscores *= scale
-        gys = [np.empty((*x2.shape[:-1], w.shape[-1])) for _, x2, w in saved]
+        gys = [np.empty((x2.shape[0], w.shape[1])) for _, x2, w in saved]
         gq, gk, gv = [
             h for (x_shape, _, _), gy in zip(saved, gys) for h in _heads(gy, x_shape, heads)
         ]
@@ -691,14 +594,13 @@ def attention(
                 gh[...] = _reduce_to_shape(np.matmul(a, b), gh.shape)
         gxs, gws, gbs = [], [], []
         for (x_shape, x2, w), gy in zip(saved, gys):
-            gxs.append((gy @ w.swapaxes(-1, -2)).reshape(x_shape))
-            gw, gb = x2.swapaxes(-1, -2) @ gy, np.add.reduce(gy, axis=-2)
-            gws += [gw[..., j : j + d] for j in range(0, w.shape[-1], d)]
-            gbs += [gb[..., j : j + d] for j in range(0, w.shape[-1], d)]
+            gxs.append((gy @ w.T).reshape(x_shape))
+            gw, gb = x2.T @ gy, np.add.reduce(gy, axis=0)
+            gws += [gw[:, j : j + d] for j in range(0, w.shape[1], d)]
+            gbs += [gb[j : j + d] for j in range(0, w.shape[1], d)]
         if len(gxs) == 1:
             gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
-        gwo = ctx2.swapaxes(-1, -2) @ g2
-        return (*gxs, *gws, gwo, *gbs, np.add.reduce(g2, axis=-2))
+        return (*gxs, *gws, ctx2.T @ g2, *gbs, np.add.reduce(g2, axis=0))
 
     return _record(out, (queries, keys_values, wq, wk, wv, wo, bq, bk, bv, bo), bwd)
 

@@ -398,6 +398,74 @@ def test_resume_into_a_file_damaged_mid_way_exits_1_unchanged(tmp_path, tiny_cor
     assert out.read_bytes() == before
 
 
+def _search_doc(out, tiny_corpus, **changes):
+    return {
+        "mode": "permutation", "trials": 2, "n_s": 1, "n_f": 1, "master_seed": 4,
+        "train": train_block(steps=2), "corpus": str(tiny_corpus), "out": str(out), **changes,
+    }
+
+
+def _sweep_doc(out, tiny_corpus, **changes):
+    return {
+        "n": 2, "k_values": [0], "master_seed": 4,
+        "train": train_block(steps=2), "corpus": str(tiny_corpus), "out": str(out), **changes,
+    }
+
+
+@pytest.mark.parametrize(
+    "first, rerun, fields",
+    [
+        (("search", _search_doc), ("search", _search_doc, {"master_seed": 99, "trials": 3}), ["master_seed"]),
+        (("search", _search_doc), ("search", _search_doc, {"mode": "budgeted", "budget": 3, "master_seed": 5}),
+         ["mode", "master_seed"]),
+        (("sweep", _sweep_doc), ("sweep", _sweep_doc, {"n": 3, "k_values": [0, 1]}), ["sweep_n"]),
+        (("sweep", _sweep_doc), ("search", _search_doc, {}), ["mode", "sweep_n"]),
+    ],
+    ids=["master_seed", "mode_and_master_seed", "sweep_n", "sweep_file_resumed_by_a_search"],
+)
+def test_resume_under_another_config_exits_2_listing_every_field(
+    tmp_path, tiny_corpus, capsys, monkeypatch, first, rerun, fields
+):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    command, doc = first
+    cfg_path.write_text(json.dumps(doc(out, tiny_corpus)))
+    assert main([command, "--config", str(cfg_path)]) == 0
+    before = out.read_bytes()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trial trained under another config")
+
+    monkeypatch.setattr(lm_harness, "train_model", never)
+    command, doc, changes = rerun
+    cfg_path.write_text(json.dumps(doc(out, tiny_corpus, **changes)))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    named = [line.split(": ")[1] for line in err.splitlines()]
+    assert named == fields and all(line.startswith("config error: ") for line in err.splitlines())
+    assert f"results file {out} was written with" in err
+    assert out.read_bytes() == before
+
+
+def test_resume_with_more_trials_or_other_workers_extends_the_file(tmp_path, tiny_corpus, capsys):
+    out, clean = tmp_path / "results.jsonl", tmp_path / "clean.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    for doc in (
+        _search_doc(out, tiny_corpus),
+        _search_doc(out, tiny_corpus, trials=3, workers=2),
+        _search_doc(clean, tiny_corpus, trials=3),
+    ):
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["search", "--config", str(cfg_path)]) == 0
+
+    def outside_meta(path):
+        return [{k: v for k, v in json.loads(line).items() if k != "meta"} for line in path.read_text().splitlines()]
+
+    assert [doc.get("index") for doc in outside_meta(out)] == [None, 0, 1, 2]
+    assert outside_meta(out) == outside_meta(clean)
+
+
 def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus, capsys, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     train_cfg = tmp_path / "t.json"

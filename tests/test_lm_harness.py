@@ -6,8 +6,6 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sublayer_lab import lm_harness as lm
 from sublayer_lab.arch_dsl import (
@@ -17,7 +15,7 @@ from sublayer_lab.arch_dsl import (
     sandwich,
     total_units,
 )
-from sublayer_lab.model import ModelConfig, build_model, forward, save_checkpoint
+from sublayer_lab.model import ModelConfig, build_model, forward
 from sublayer_lab.tensor_core import Tape, cross_entropy_loss
 
 
@@ -297,22 +295,21 @@ def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
     index_of = {lm.derive_seed(11, i, "train"): i for i in range(8)}
     started = []
 
-    def stub_train_cohort(cfgs, corpus):
-        indices = [index_of[cfg.seed] for cfg in cfgs]
-        started.extend(indices)
-        if 0 in indices:
+    def stub_train_model(cfg, corpus):
+        started.append(index_of[cfg.seed])
+        if started[-1] == 0:
             raise RuntimeError("trial 0 failed")
-        return [(lm.TrialRecord.build(str(c.model.ordering), -1, c.seed, [], 1.0, 0, 0.0), None) for c in cfgs]
+        return lm.TrialRecord.build(str(cfg.model.ordering), -1, cfg.seed, [], 1.0, 0, 0.0), None
 
-    monkeypatch.setattr(lm, "train_cohort", stub_train_cohort)
+    monkeypatch.setattr(lm, "train_model", stub_train_model)
     with pytest.raises(RuntimeError, match="trial 0 failed"):
         lm.run_random_search(search, corpus)
-    assert 0 in started and len(started) <= search.workers + 1
-    assert started == [0, 1]  # the first cohort, and no later one
+    assert started == [0]  # no later trial started
     assert len(out.read_text().splitlines()) == 1  # the header; no trial written
 
 
 def test_trials_are_sampled_only_when_their_cohort_forms(tmp_path, monkeypatch):
+    """A trial's ordering is drawn only when the trial starts."""
     corpus = lm.load_corpus_text(TINY_TEXT)
     calls = []
     sample = lm.sample_permutation
@@ -321,40 +318,41 @@ def test_trials_are_sampled_only_when_their_cohort_forms(tmp_path, monkeypatch):
         calls.append(args)
         return sample(*args)
 
-    def fail(cfgs, corpus):
-        raise RuntimeError("cohort failed")
+    def fail(cfg, corpus):
+        raise RuntimeError("trial failed")
 
     monkeypatch.setattr(lm, "sample_permutation", counted)
-    monkeypatch.setattr(lm, "train_cohort", fail)
+    monkeypatch.setattr(lm, "train_model", fail)
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(), master_seed=12,
         out_path=str(tmp_path / "lazy.jsonl"), trials=10**5, n_s=2, n_f=2, workers=3,
     )
-    with pytest.raises(RuntimeError, match="cohort failed"):
+    with pytest.raises(RuntimeError, match="trial failed"):
         lm.run_random_search(search, corpus)
-    assert 1 <= len(calls) <= search.workers
+    assert len(calls) == 1
 
 
 def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_path, monkeypatch):
+    """A failing trial keeps the trials before it, and a rerun resumes there."""
     corpus = lm.load_corpus_text(TINY_TEXT)
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(steps=2, eval_interval=1), master_seed=13,
         out_path=str(tmp_path / "resume.jsonl"), trials=5, n_s=2, n_f=1, workers=2,
     )
-    real, cohorts = lm.train_cohort, []
+    real, calls = lm.train_model, []
 
-    def second_fails(cfgs, corpus):
-        cohorts.append(len(cfgs))
-        if len(cohorts) == 2:
-            raise RuntimeError("second cohort failed")
-        return real(cfgs, corpus)
+    def second_fails(cfg, corpus):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise RuntimeError("second trial failed")
+        return real(cfg, corpus)
 
-    monkeypatch.setattr(lm, "train_cohort", second_fails)
-    with pytest.raises(RuntimeError, match="second cohort failed"):
+    monkeypatch.setattr(lm, "train_model", second_fails)
+    with pytest.raises(RuntimeError, match="second trial failed"):
         lm.run_random_search(search, corpus)
-    assert cohorts == [2, 2]  # no third cohort started
-    assert [r.index for r in lm.read_results(search.out_path)] == [0, 1]
-    monkeypatch.setattr(lm, "train_cohort", real)
+    assert len(calls) == 2  # no third trial started
+    assert [r.index for r in lm.read_results(search.out_path)] == [0]
+    monkeypatch.setattr(lm, "train_model", real)
     lm.run_random_search(search, corpus)
     clean = lm.SearchConfig(**{**vars(search), "out_path": str(tmp_path / "clean.jsonl"), "workers": 1})
     lm.run_random_search(clean, corpus)
@@ -365,59 +363,30 @@ def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_pa
     assert outside_meta(search.out_path) == outside_meta(clean.out_path)
 
 
-def _trial_fields(rec):
-    return {k: v for k, v in vars(rec).items() if k != "wall_clock_s"}
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    orderings=st.lists(st.text("sf", min_size=1, max_size=5), min_size=1, max_size=4),
-    dropout=st.sampled_from([0.0, 0.1]),
-    tie=st.booleans(),
-    pre_norm=st.booleans(),
-    ffn_inner=st.sampled_from([0, 12]),
-)
-def test_cohort_trials_equal_their_solo_training_bitwise(orderings, dropout, tie, pre_norm, ffn_inner):
+def test_each_pending_trial_is_one_train_model_call_in_index_order(tmp_path, monkeypatch):
+    """Search trains each trial through ``train_model``, whatever ``workers`` is."""
     corpus = lm.load_corpus_text(TINY_TEXT)
-    template = lm.TrainTemplate(
-        d=8, heads=2, steps=3, batch_size=2, context=8, eval_interval=2,
-        ffn_inner=ffn_inner, tie_embeddings=tie, pre_norm=pre_norm, dropout=dropout,
+    search = lm.SearchConfig(
+        mode="permutation", template=tiny_template(steps=2, eval_interval=1), master_seed=15,
+        out_path=str(tmp_path / "half.jsonl"), trials=2, n_s=2, n_f=1, workers=3,
     )
-    cfgs = [
-        template.instantiate(parse_ordering(o), corpus.vocab_size, seed=lm.derive_seed(14, i, "train"))
-        for i, o in enumerate(orderings)
-    ]
-    for cfg, (rec, trained) in zip(cfgs, lm.train_cohort(cfgs, corpus)):
-        alone, alone_model = lm.train_model(cfg, corpus)
-        assert _trial_fields(rec) == _trial_fields(alone)
-        for p, q in zip(trained.parameters(), alone_model.parameters(), strict=True):
-            assert p.data.tobytes() == q.data.tobytes()
+    lm.run_random_search(search, corpus)  # the first half
+    index_of = {lm.derive_seed(15, i, "train"): i for i in range(5)}
+    real, trained = lm.train_model, []
 
+    def counted(cfg, corpus):
+        trained.append(index_of[cfg.seed])
+        return real(cfg, corpus)
 
-def test_a_cohort_trial_checkpoints_like_the_trial_trained_alone(tmp_path):
-    corpus = lm.load_corpus_text(TINY_TEXT)
-    cfgs = [
-        tiny_template(steps=2, tie_embeddings=False).instantiate(parse_ordering(o), corpus.vocab_size, seed=i)
-        for i, o in enumerate(("sfsf", "ffs"))
-    ]
-    (_, stacked), _ = lm.train_cohort(cfgs, corpus)
-    _, alone = lm.train_model(cfgs[0], corpus)
-    save_checkpoint(stacked, tmp_path / "stacked.ckpt")  # views of cohort rows
-    save_checkpoint(alone, tmp_path / "alone.ckpt")
-    assert (tmp_path / "stacked.ckpt").read_bytes() == (tmp_path / "alone.ckpt").read_bytes()
-
-
-def test_cohort_configs_may_differ_in_ordering_and_seed_only():
-    corpus = lm.load_corpus_text(TINY_TEXT)
-    a = tiny_template().instantiate(parse_ordering("sf"), corpus.vocab_size, seed=1)
-    for other in (tiny_template(lr=2e-3), tiny_template(dropout=0.1)):
-        b = other.instantiate(parse_ordering("fs"), corpus.vocab_size, seed=2)
-        with pytest.raises(ValueError, match="may differ in"):
-            lm.train_cohort([a, b], corpus)
+    monkeypatch.setattr(lm, "train_model", counted)
+    search.trials = 5
+    records = lm.run_random_search(search, corpus)
+    assert trained == [2, 3, 4]
+    assert [r.index for r in records] == [0, 1, 2, 3, 4]
 
 
 def test_no_package_module_runs_trials_on_threads_or_processes():
-    """Trials run one way, in lockstep cohorts in the caller's thread."""
+    """Trials run one way, one after another in the caller's thread."""
     src = Path(lm.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):

@@ -493,7 +493,7 @@ def test_no_grad_blocks_recording():
     assert np.array_equal(x.grad, np.ones(3))
 
 
-# -- trial axis ---------------------------------------------------------------------------------
+# -- row ops ------------------------------------------------------------------------------------
 
 
 def _weighted(out, seed):
@@ -511,42 +511,6 @@ def test_row_ops_slice_the_leading_axis_of_unstacked_3d_inputs():
         lambda x: _weighted(tc.embedding(x, ids), 97),
     ):
         assert finite_difference_check(f, Tensor(x0.copy())) < 1e-4
-
-
-def test_stacked_row_ops_read_each_trials_own_rows():
-    table = rand(3, 5, 2, seed=98)  # [T, rows, d]
-    ids = np.array([[[4, 0]], [[1, 1]], [[3, 2]]])  # [T, batch, t]
-    sliced = tc.slice_rows(Tensor(table), 1, 3, stacked=True)
-    gathered = tc.embedding(Tensor(table), ids, stacked=True)
-    for j in range(3):
-        assert np.array_equal(sliced.data[j], table[j, 1:4])
-        assert np.array_equal(gathered.data[j], table[j][ids[j]])
-    for f in (
-        lambda x: _weighted(tc.slice_rows(x, 1, 3, stacked=True), 99),
-        lambda x: _weighted(tc.embedding(x, ids, stacked=True), 100),
-    ):
-        assert finite_difference_check(f, Tensor(table.copy())) < 1e-4
-
-
-def test_take_rows_and_put_rows_move_trials_in_and_out():
-    a0, part0 = rand(4, 2, 3, seed=101), rand(2, 2, 3, seed=102)
-    rows = np.array([1, 3])
-    assert np.array_equal(tc.take_rows(Tensor(a0), rows).data, a0[rows])
-    put = tc.put_rows(Tensor(a0), [(rows, Tensor(part0))]).data
-    assert np.array_equal(put[rows], part0) and np.array_equal(put[[0, 2]], a0[[0, 2]])
-    part = Tensor(part0)
-    for f, x in (
-        (lambda x: _weighted(tc.take_rows(x, rows), 103), Tensor(a0.copy())),
-        (lambda x: _weighted(tc.put_rows(x, [(rows, part)]), 104), Tensor(a0.copy())),
-        (lambda x: _weighted(tc.put_rows(Tensor(a0), [(rows, x)]), 105), Tensor(part0.copy())),
-    ):
-        assert finite_difference_check(f, x) < 1e-4
-    # rows a part covers take no gradient from ``a``; every row covered, none at all
-    with Tape() as tape:
-        a = Tensor(a0.copy())
-        y = sum_all(tc.put_rows(a, [(np.array([0, 1]), part), (np.array([2, 3]), Tensor(part0))]))
-    backward(y, tape)
-    assert a.grad is None
 
 
 # -- fused ops ---------------------------------------------------------------------------------
