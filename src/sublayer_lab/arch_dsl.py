@@ -140,33 +140,28 @@ def total_units(spec: OrderingSpec) -> int:
     return sum(UNIT_COST[k] for k in spec.kinds)
 
 
+def _sandwich(n: int, k: int, unit: tuple[SublayerKind, ...], decoder_mode: bool) -> OrderingSpec:
+    """unit^k (unit f)^(n-k) f^k, for a sandwich coefficient k in [0, n-1]."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"sandwich coefficient k={k} out of range [0, {n - 1}]")
+    f = (SublayerKind.FEEDFORWARD,)
+    return OrderingSpec(kinds=unit * k + (unit + f) * (n - k) + f * k, decoder_mode=decoder_mode)
+
+
 def sandwich(n: int, k: int) -> OrderingSpec:
     """The s^k (sf)^(n-k) f^k family: n sublayers of each kind, length 2n.
 
     k=0 is the interleaved stack (sf)^n; k=n-1 is the extreme s^n f^n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"sandwich coefficient k={k} out of range [0, {n - 1}]")
-    s, f = SublayerKind.SELF_ATTENTION, SublayerKind.FEEDFORWARD
-    kinds = (s,) * k + (s, f) * (n - k) + (f,) * k
-    return OrderingSpec(kinds=kinds)
+    return _sandwich(n, k, (SublayerKind.SELF_ATTENTION,), decoder_mode=False)
 
 
 def sandwich_decoder(n: int, k: int) -> OrderingSpec:
     """The decoder family (sc)^k ((sc)f)^(n-k) f^k; `sc` moves as one unit."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"sandwich coefficient k={k} out of range [0, {n - 1}]")
-    s, f, c = (
-        SublayerKind.SELF_ATTENTION,
-        SublayerKind.FEEDFORWARD,
-        SublayerKind.CROSS_ATTENTION,
-    )
-    kinds = (s, c) * k + (s, c, f) * (n - k) + (f,) * k
-    return OrderingSpec(kinds=kinds, decoder_mode=True)
+    unit = (SublayerKind.SELF_ATTENTION, SublayerKind.CROSS_ATTENTION)
+    return _sandwich(n, k, unit, decoder_mode=True)
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -187,6 +187,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_interval < 1:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 1 <= self.context <= self.model.context:
             raise ValueError(
                 f"context {self.context} outside [1, model.context={self.model.context}]"
@@ -202,34 +204,21 @@ class TrainTemplate:
     steps: int
     batch_size: int
     context: int
-    lr: float = 1e-3
-    eval_interval: int = 100
-    ffn_inner: int = 0
-    tie_embeddings: bool = True
-    pre_norm: bool = True
-    dropout: float = 0.0
+    lr: float = TrainConfig.lr
+    eval_interval: int = TrainConfig.eval_interval
+    ffn_inner: int = ModelConfig.ffn_inner
+    tie_embeddings: bool = ModelConfig.tie_embeddings
+    pre_norm: bool = ModelConfig.pre_norm
+    dropout: float = ModelConfig.dropout
 
     def instantiate(self, ordering: OrderingSpec, vocab: int, seed: int) -> TrainConfig:
-        model = ModelConfig(
-            d=self.d,
-            heads=self.heads,
-            vocab=vocab,
-            context=self.context,
-            ordering=ordering,
-            ffn_inner=self.ffn_inner,
-            tie_embeddings=self.tie_embeddings,
-            pre_norm=self.pre_norm,
-            dropout=self.dropout,
-        )
-        return TrainConfig(
-            model=model,
-            steps=self.steps,
-            batch_size=self.batch_size,
-            context=self.context,
-            lr=self.lr,
-            seed=seed,
-            eval_interval=self.eval_interval,
-        )
+        values = vars(self)
+
+        def shared(cls) -> dict:
+            return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+        model = ModelConfig(ordering=ordering, vocab=vocab, **shared(ModelConfig))
+        return TrainConfig(model=model, seed=seed, **shared(TrainConfig))
 
 
 @dataclass
@@ -311,19 +300,19 @@ def record_from_json_dict(doc: dict) -> TrialRecord:
     """
     typed(doc, dict, "record")
     try:
-        fields = {k: typed(doc[k], kind, f"record field {k!r}") for k, kind in _RECORD_FIELDS.items()}
+        values = {k: typed(doc[k], kind, f"record field {k!r}") for k, kind in _RECORD_FIELDS.items()}
     except KeyError as exc:
         raise ValueError(f"record lacks {exc}") from None
-    if fields["index"] < -1:
-        raise ValueError(f"record index must be >= -1, got {fields['index']}")
+    if values["index"] < -1:
+        raise ValueError(f"record index must be >= -1, got {values['index']}")
     curve = []
-    for point in fields.pop("loss_curve"):
+    for point in values.pop("loss_curve"):
         if not (isinstance(point, list) and len(point) == 2 and type(point[0]) is int):
             raise ValueError(f"record field 'loss_curve' holds {point!r}, not a [step, loss] pair")
         curve.append((point[0], typed(point[1], float, "a 'loss_curve' loss")))
     meta = typed(doc.get("meta", {}), dict, "record field 'meta'")
     wall = typed(meta.get("wall_clock_s", 0.0), float, "record field 'wall_clock_s'")
-    rec = TrialRecord(loss_curve=curve, wall_clock_s=wall, **fields)
+    rec = TrialRecord(loss_curve=curve, wall_clock_s=wall, **values)
     if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
         raise ValueError(f"record bpc inconsistent with nats: {doc}")
     ppl = _perplexity(rec.valid_nats)
@@ -348,9 +337,8 @@ def derive_seed(master_seed: int, index: int, label: str = "") -> int:
 
 def _sample_batch(rng, ids, context, batch_size):
     starts = rng.integers(0, ids.size - context, size=batch_size)
-    x = np.stack([ids[s : s + context] for s in starts])
-    y = np.stack([ids[s + 1 : s + context + 1] for s in starts])
-    return x, y
+    windows = ids[starts[:, None] + np.arange(context + 1)]
+    return windows[:, :-1], windows[:, 1:]
 
 
 def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, TransformerStack]:
@@ -366,9 +354,7 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
     params = model.parameters()
     state = OptimizerState(lr=cfg.lr)
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "batch")))
-    drop_rng = None
-    if cfg.model.dropout > 0.0:
-        drop_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "dropout")))
+    drop_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "dropout")))
     curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
         x, y = _sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size)
@@ -460,8 +446,9 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
     final segment without a newline, or a final line that does not parse.
     Every other defect raises ``ValueError`` naming the line: an unparseable
     line with content after it, a line that is not a JSON object, a ``kind``
-    other than ``header`` or ``trial``, a header anywhere but line 1, and a
-    trial that is not a valid record or repeats an index.
+    other than ``header`` or ``trial``, a header anywhere but line 1, a trial
+    before the header, and a trial that is not a valid record or repeats an
+    index.
     """
     if not os.path.exists(path):
         return None, {}, 0
@@ -491,6 +478,8 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
                 raise ValueError(f"results line {lineno}: a header may only be line 1")
             header = doc
         elif kind == "trial":
+            if header is None:
+                raise ValueError(f"results line {lineno}: a trial before the header")
             try:
                 rec = record_from_json_dict(doc)
             except ValueError as exc:

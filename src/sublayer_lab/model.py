@@ -1,12 +1,16 @@
 """Transformer stacks assembled from an ordering string.
 
-Each sublayer is a residual block: ``x + sublayer(norm(x))`` with pre-norm
-placement (default), or ``norm(x + sublayer(x))`` with post-norm. Attention is
-multi-head scaled dot-product, one fused ``tensor_core.attention`` node; the
-feedforward block is a two-layer MLP, ``linear(linear_relu(h))``. So an `s`
-sublayer records 3 tape nodes (norm, attention, residual add) and an `f`
-sublayer 4. Cross-attention (`c`) reads queries from the decoder stream and
-keys/values from a provided memory sequence.
+Every sublayer is the same residual block around its own branch:
+``x + branch(norm(x))`` with pre-norm placement (default), or
+``norm(x + branch(x))`` with post-norm, where training adds inverted dropout
+to the branch's output. Attention is multi-head scaled dot-product, one fused
+``tensor_core.attention`` node; self-attention (`s`) is causal over the stream
+itself, and cross-attention (`c`) reads keys/values from a provided memory
+sequence. The feedforward branch is a two-layer MLP,
+``linear(linear_relu(h))``. So an `s` sublayer records 3 tape nodes (norm,
+attention, residual add) and an `f` sublayer 4.
+
+A checkpoint's JSON header holds every :class:`ModelConfig` field by name.
 """
 
 from __future__ import annotations
@@ -257,31 +261,27 @@ def _causal_mask(t: int) -> np.ndarray:
     return mask
 
 
-def _attention(
-    queries: Tensor,
-    keys_values: Tensor,
-    p: AttentionParams,
-    heads: int,
-    mask: np.ndarray | None,
-    capture: AttentionCapture | None,
-    kind_char: str,
-) -> Tensor:
-    return attention(
-        queries, keys_values, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo, heads,
-        mask, None if capture is None else lambda probs: capture.add(kind_char, probs),
-    )
+def _residual(x, inner, p, pre_norm, drop_rate, drop_rng):
+    """The wiring every sublayer shares: ``x + branch(norm(x))`` (pre-norm) or
+    ``norm(x + branch(x))`` (post-norm), where the branch is ``inner``
+    followed, when ``drop_rng`` is given, by dropout at ``drop_rate``."""
+    out = inner(layer_norm(x, p.norm_gain, p.norm_bias) if pre_norm else x)
+    if drop_rng is not None:
+        out = dropout(out, drop_rate, drop_rng)
+    return x + out if pre_norm else layer_norm(x + out, p.norm_gain, p.norm_bias)
 
 
-def _residual(x, inner, p, pre_norm, drop_rate=0.0, drop_rng=None):
-    def branch(h):
-        out = inner(h)
-        if drop_rate > 0.0 and drop_rng is not None:
-            out = dropout(out, drop_rate, drop_rng)
-        return out
+def _attention_sublayer(x, memory, p, heads, capture, pre_norm, drop_rate, drop_rng):
+    """Causal self-attention over ``x`` when ``memory`` is None, else
+    unmasked cross-attention from ``x`` to ``memory``."""
+    kind, mask = ("s", _causal_mask(x.shape[-2])) if memory is None else ("c", None)
+    hook = None if capture is None else lambda probs: capture.add(kind, probs)
 
-    if pre_norm:
-        return x + branch(layer_norm(x, p.norm_gain, p.norm_bias))
-    return layer_norm(x + branch(x), p.norm_gain, p.norm_bias)
+    def inner(h):
+        kv = h if memory is None else memory
+        return attention(h, kv, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo, heads, mask, hook)
+
+    return _residual(x, inner, p, pre_norm, drop_rate, drop_rng)
 
 
 def self_attention_sublayer(
@@ -294,15 +294,7 @@ def self_attention_sublayer(
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Residual causal multi-head self-attention over [..., t, d]."""
-    mask = _causal_mask(x.shape[-2])
-    return _residual(
-        x,
-        lambda h: _attention(h, h, p, heads, mask, capture, "s"),
-        p,
-        pre_norm,
-        drop_rate,
-        drop_rng,
-    )
+    return _attention_sublayer(x, None, p, heads, capture, pre_norm, drop_rate, drop_rng)
 
 
 def cross_attention_sublayer(
@@ -318,14 +310,7 @@ def cross_attention_sublayer(
     """Residual cross-attention: queries from y, keys/values from memory."""
     if memory.shape[-2] < 1:
         raise ValueError("cross-attention memory must be non-empty")
-    return _residual(
-        y,
-        lambda h: _attention(h, memory, p, heads, None, capture, "c"),
-        p,
-        pre_norm,
-        drop_rate,
-        drop_rng,
-    )
+    return _attention_sublayer(y, memory, p, heads, capture, pre_norm, drop_rate, drop_rng)
 
 
 def feedforward_sublayer(
@@ -368,24 +353,17 @@ def forward(
     x = embedding(model.token_embedding, tokens) + slice_rows(
         model.positional_embedding, 0, t
     )
-    rate = cfg.dropout if dropout_rng is not None else 0.0
+    wiring = (cfg.pre_norm, cfg.dropout, dropout_rng)
     for kind, p in zip(cfg.ordering.kinds, model.sublayers):
-        if kind is SublayerKind.SELF_ATTENTION:
-            x = self_attention_sublayer(
-                x, p, cfg.heads, capture=capture,
-                pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng,
-            )
-        elif kind is SublayerKind.FEEDFORWARD:
-            x = feedforward_sublayer(
-                x, p, pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng
-            )
+        # module globals, looked up on each call: replacing one by attribute takes effect
+        if kind is SublayerKind.FEEDFORWARD:
+            x = feedforward_sublayer(x, p, *wiring)
+        elif kind is SublayerKind.SELF_ATTENTION:
+            x = self_attention_sublayer(x, p, cfg.heads, capture, *wiring)
+        elif memory is None:
+            raise ValueError("ordering contains 'c' but no memory was provided")
         else:
-            if memory is None:
-                raise ValueError("ordering contains 'c' but no memory was provided")
-            x = cross_attention_sublayer(
-                x, memory, p, cfg.heads, capture=capture,
-                pre_norm=cfg.pre_norm, drop_rate=rate, drop_rng=dropout_rng,
-            )
+            x = cross_attention_sublayer(x, memory, p, cfg.heads, capture, *wiring)
     if cfg.pre_norm:
         x = layer_norm(x, model.final_gain, model.final_bias)
     if model.output_projection is not None:
@@ -403,19 +381,9 @@ def forward(
 
 def save_checkpoint(model: TransformerStack, path) -> None:
     cfg = model.config
-    header = {
-        "ordering": str(cfg.ordering),
-        "decoder_mode": cfg.ordering.decoder_mode,
-        "d": cfg.d,
-        "heads": cfg.heads,
-        "vocab": cfg.vocab,
-        "context": cfg.context,
-        "ffn_inner": cfg.ffn_inner,
-        "tie_embeddings": cfg.tie_embeddings,
-        "pre_norm": cfg.pre_norm,
-        "activation": "relu",  # the only activation; kept so checkpoint bytes do not change
-        "dropout": cfg.dropout,
-    }
+    header = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
+    # "activation" is always "relu", the only one; kept so checkpoint bytes do not change
+    header.update(ordering=str(cfg.ordering), decoder_mode=cfg.ordering.decoder_mode, activation="relu")
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -455,17 +423,11 @@ def load_checkpoint(path) -> TransformerStack:
         try:
             if header["activation"] != "relu":
                 raise ValueError(f"unsupported activation {header['activation']!r}")
-            config = ModelConfig(
-                d=header["d"],
-                heads=header["heads"],
-                vocab=header["vocab"],
-                context=header["context"],
-                ordering=_ordering(header["ordering"], header["decoder_mode"]),
-                ffn_inner=header["ffn_inner"],
-                tie_embeddings=header["tie_embeddings"],
-                pre_norm=header["pre_norm"],
-                dropout=header["dropout"],
-            )
+            config = ModelConfig(**{
+                f.name: _ordering(header["ordering"], header["decoder_mode"])
+                if f.name == "ordering" else header[f.name]
+                for f in fields(ModelConfig)
+            })
         except KeyError as exc:
             raise ValueError(f"checkpoint header lacks {exc}") from None
         except TypeError as exc:  # not a JSON object, or a field of the wrong type

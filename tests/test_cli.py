@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -396,6 +397,21 @@ def test_resume_into_a_file_damaged_mid_way_exits_1_unchanged(tmp_path, tiny_cor
     assert main(["search", "--config", str(cfg_path)]) == 1
     assert "results line 3" in capsys.readouterr().err
     assert out.read_bytes() == before
+
+
+def test_resume_into_a_file_without_its_header_exits_1_unchanged(tmp_path, tiny_corpus, capsys):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "search.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    out.write_text("".join(out.read_text().splitlines(keepends=True)[1:]))  # the header removed
+    before = hashlib.md5(out.read_bytes()).hexdigest()
+    for changes in ({"trials": 3}, {"trials": 3, "master_seed": 99}):
+        cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus, **changes)))
+        capsys.readouterr()
+        assert main(["search", "--config", str(cfg_path)]) == 1
+        assert "results line 1: a trial before the header" in capsys.readouterr().err
+        assert hashlib.md5(out.read_bytes()).hexdigest() == before
 
 
 def _search_doc(out, tiny_corpus, **changes):

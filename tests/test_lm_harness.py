@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -678,6 +679,50 @@ def test_read_results_rejects_an_unparseable_line_before_the_last(tmp_path):
     path.write_text("".join([lines[0], lines[0], *lines[1:]]))
     with pytest.raises(ValueError, match="line 2: a header may only be line 1"):
         lm.read_results(path)
+
+
+def test_read_results_rejects_a_trial_before_the_header(tmp_path):
+    path, _ = _results_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[1:]))
+    with pytest.raises(ValueError, match="results line 1: a trial before the header"):
+        lm.read_results(path)
+    path.write_text("".join([lines[1], lines[0], lines[2]]))
+    with pytest.raises(ValueError, match="results line 1: a trial before the header"):
+        lm.read_results(path)
+
+
+def test_train_template_defaults_are_the_config_defaults():
+    owners = {f.name: cls for cls in (ModelConfig, lm.TrainConfig) for f in dataclasses.fields(cls)}
+    defaulted = [f for f in dataclasses.fields(lm.TrainTemplate) if f.default is not dataclasses.MISSING]
+    assert defaulted
+    for f in defaulted:
+        assert f.default == getattr(owners[f.name], f.name), f.name
+
+
+def test_train_template_instantiate_copies_every_shared_field():
+    template = lm.TrainTemplate(
+        d=12, heads=3, steps=7, batch_size=5, context=9, lr=2e-3, eval_interval=4,
+        ffn_inner=10, tie_embeddings=False, pre_norm=False, dropout=0.25,
+    )
+    ordering = parse_ordering("ssf")
+    cfg = template.instantiate(ordering, vocab=17, seed=23)
+    assert (cfg.model.ordering, cfg.model.vocab, cfg.seed) == (ordering, 17, 23)
+    model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    train_fields = {f.name for f in dataclasses.fields(lm.TrainConfig)}
+    for f in dataclasses.fields(lm.TrainTemplate):
+        value = getattr(template, f.name)
+        assert f.name in model_fields | train_fields, f.name
+        if f.name in model_fields:
+            assert getattr(cfg.model, f.name) == value, f.name
+        if f.name in train_fields:
+            assert getattr(cfg, f.name) == value, f.name
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3, 0.0])
+def test_train_config_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        tiny_template(lr=lr).instantiate(parse_ordering("sf"), 10, seed=0)
 
 
 def test_sweep_rejects_non_integer_coefficients():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -476,6 +477,37 @@ def test_checkpoint_float_size_raises_value_error(tmp_path):
     path.write_bytes(data[:5] + struct.pack("<I", len(raw)) + raw + data[header_end:])
     with pytest.raises(ValueError, match="integer"):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_holds_every_config_field_and_round_trips_it(tmp_path):
+    # every field away from its default, so a field the header dropped would show
+    cfg = ModelConfig(
+        d=12, heads=3, vocab=7, context=5, ordering=parse_ordering("scf", decoder_mode=True),
+        ffn_inner=10, tie_embeddings=False, pre_norm=False, dropout=0.25,
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(cfg, 31), path)
+    data = path.read_bytes()
+    header = json.loads(data[9 : 9 + struct.unpack("<I", data[5:9])[0]])
+    names = [f.name for f in dataclasses.fields(ModelConfig)]
+    assert sorted(header) == sorted(names + ["decoder_mode", "activation"])
+    assert header["decoder_mode"] is True and header["activation"] == "relu"
+    loaded = load_checkpoint(path).config
+    for name in names:
+        value = getattr(cfg, name)
+        assert header[name] == (str(value) if name == "ordering" else value)
+        assert getattr(loaded, name) == value
+
+
+def test_forward_draws_no_dropout_when_the_rate_is_zero():
+    toks = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    for rate, draws in ((0.0, False), (0.1, True)):
+        m = build_model(small_config("sfsf", dropout=rate), 32)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = forward(m, toks, dropout_rng=rng)
+        assert (rng.bit_generator.state != before) == draws
+        assert np.array_equal(out.data, forward(m, toks).data) != draws
 
 
 @pytest.mark.parametrize("field", ["d", "heads", "vocab", "context", "ffn_inner"])
