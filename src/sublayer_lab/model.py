@@ -81,6 +81,7 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # numpy integers are not JSON-serialisable
         if self.ffn_inner == 0:
             self.ffn_inner = 4 * self.d
         for name in sizes:

@@ -13,6 +13,13 @@ nodes and their outputs; a tensor refers back to its tape only weakly (the
 tape hands the same weak reference to every tensor it records), so dropping
 the tape frees a step's activations without a garbage-collector pass.
 
+``backward`` consumes its tape: once a node's backward has run, the node is
+replaced by a shared spent marker (so ``len(tape.nodes)`` is unchanged) and
+its output's ``.grad`` is cleared. Activations and intermediate gradients
+are freed in reverse order while backward runs, and afterwards only leaves
+(tensors that no node on the tape produced, such as parameters) hold a
+``.grad``. A second ``backward`` on a consumed tape raises ``ValueError``.
+
 ``attention`` keeps its scores key-major, [keys, ..., heads, queries], so
 the softmax's max, sum and division, and its backward's sum over keys, are
 vectorised passes along axis 0 instead of reductions along a short last
@@ -136,12 +143,21 @@ class _Node:
         self.backward_fn = backward_fn
 
 
+# stands in for every node whose backward has run (see ``backward``)
+_SPENT = _Node(None, (), None)
+
+
 class Tape:
-    """Append-only record of operations; node order is topological."""
+    """Append-only record of operations; node order is topological.
+
+    ``backward`` consumes a tape: each node becomes a spent marker once its
+    backward has run, and the tape cannot be walked again.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self._ref = weakref.ref(self)  # handed to every tensor recorded here
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _active().append(self)
@@ -199,20 +215,29 @@ def _reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Accumulate gradients of a scalar loss into every reachable tensor.
+    """Accumulate gradients of a scalar loss into the leaves it reaches.
 
-    Walks the tape in reverse creation order; tensors whose outputs never
-    receive a gradient are left untouched. Bit-for-bit deterministic.
+    Walks the tape in reverse creation order and consumes it: each node is
+    replaced by a spent marker once its backward has run, which frees its
+    saved arrays, and its output's ``.grad`` is cleared. Only leaves, tensors
+    that no node on this tape produced, keep (and accumulate) a ``.grad``;
+    leaves whose gradient is never reached are left untouched. A consumed
+    tape raises ``ValueError``. Bit-for-bit deterministic.
     """
     tape = tape if tape is not None else loss.tape
     if tape is None:
         raise ValueError("loss was not recorded on any tape")
     if loss.data.shape != ():
         raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
+    if tape._consumed:
+        raise ValueError("tape was already consumed by backward")
+    tape._consumed = True
+    nodes = tape.nodes
     one = np.ones((), dtype=np.float64)
     loss.grad = one if loss.grad is None else loss.grad + one
-    for node in reversed(tape.nodes):
-        out_grad = node.output.grad
+    for i in range(len(nodes) - 1, -1, -1):
+        node, nodes[i] = nodes[i], _SPENT
+        out_grad, node.output.grad = node.output.grad, None
         if out_grad is None:
             continue
         for tensor, g in zip(node.inputs, node.backward_fn(out_grad)):

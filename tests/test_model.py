@@ -342,6 +342,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_numpy_integer_sizes_are_stored_as_ints_and_checkpoint(tmp_path):
+    sizes = dict(d=np.int64(8), heads=np.int32(2), vocab=np.int64(11), context=np.int16(8), ffn_inner=np.int64(12))
+    cfg = small_config("sf", **sizes)
+    assert all(type(getattr(cfg, name)) is int for name in sizes)
+    path = tmp_path / "numpy.ckpt"
+    save_checkpoint(build_model(cfg, 30), path)
+    assert load_checkpoint(path).config == cfg
+    plain = tmp_path / "plain.ckpt"
+    save_checkpoint(build_model(small_config("sf", ffn_inner=12), 30), plain)
+    assert path.read_bytes() == plain.read_bytes()
+
+
 def test_checkpoint_damaged_header_raises_value_error(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(build_model(small_config(), 29), path)

@@ -1,9 +1,14 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from sublayer_lab import tensor_core as tc
+from sublayer_lab.arch_dsl import parse_ordering
+from sublayer_lab.model import ModelConfig, build_model, forward
 from sublayer_lab.tensor_core import (
     OptimizerState,
     Tape,
@@ -824,3 +829,133 @@ def test_attention_matches_the_last_axis_reference(self_attn, layout, heads, mas
     assert probs.shape == ref_probs.shape and np.abs(probs - ref_probs).max() < 1e-13
     if masked:
         assert np.all(probs[..., ~mask] == 0.0)
+
+
+# -- backward consumes its tape ------------------------------------------------------------
+
+
+def reference_backward(loss, tape):
+    """The backward loop that keeps the whole tape alive, which the consuming
+    ``backward`` must match bit for bit."""
+    one = np.ones((), dtype=np.float64)
+    loss.grad = one if loss.grad is None else loss.grad + one
+    for node in reversed(tape.nodes):
+        out_grad = node.output.grad
+        if out_grad is None:
+            continue
+        for tensor, g in zip(node.inputs, node.backward_fn(out_grad)):
+            if g is None:
+                continue
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def test_a_consumed_tape_raises():
+    x = Tensor([1.0, 2.0])
+    with Tape() as tape:
+        z = sum_all(mul(x, x))
+    backward(z, tape)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ValueError, match="already consumed by backward"):
+        backward(z, tape)
+    assert np.array_equal(x.grad, [2.0, 4.0])  # nothing propagated twice
+    with tape:  # recording more on it does not make it usable again
+        w = sum_all(mul(z, z))
+    with pytest.raises(ValueError, match="already consumed by backward"):
+        backward(w, tape)
+
+
+def _model_config(ordering="sfsf", d=16, context=8, **kw):
+    decoder = "c" in ordering
+    return ModelConfig(
+        d=d, heads=4, vocab=13, context=context,
+        ordering=parse_ordering(ordering, decoder_mode=decoder), **kw,
+    )
+
+
+def _recorded_step(cfg, batch=2, seed=0):
+    """One training step of a fresh model, recorded but not yet backpropagated:
+    (model, memory or None, loss, tape)."""
+    model = build_model(cfg, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    toks = rng.integers(0, cfg.vocab, size=(batch, cfg.context + 1))
+    memory = Tensor(rng.normal(size=(batch, 5, cfg.d))) if cfg.ordering.decoder_mode else None
+    with Tape() as tape:
+        logits = forward(model, toks[:, :-1], memory=memory, dropout_rng=np.random.default_rng(seed + 1))
+        loss = cross_entropy_loss(logits, toks[:, 1:])
+    return model, memory, loss, tape
+
+
+GRADIENT_CASES = {
+    "pre-norm": {},
+    "post-norm": dict(pre_norm=False),
+    "dropout": dict(dropout=0.1),
+    "untied": dict(tie_embeddings=False),
+    "decoder-scfscf": dict(ordering="scfscf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_consuming_backward_matches_the_reference_bitwise(case):
+    grads = []
+    for run in (reference_backward, backward):
+        model, memory, loss, tape = _recorded_step(_model_config(**GRADIENT_CASES[case]))
+        run(loss, tape)
+        leaves = model.parameters() + ([memory] if memory is not None else [])
+        grads.append([t.grad for t in leaves])
+    ref, got = grads
+    assert len(ref) == len(got)
+    for i, (a, b) in enumerate(zip(ref, got)):
+        if a is None:  # a post-norm stack does not use its final norm
+            assert b is None and case == "post-norm", i
+        else:
+            assert b is not None and a.shape == b.shape and np.array_equal(a, b), i
+
+
+def test_backward_frees_later_nodes_before_the_first_runs():
+    _, _, loss, tape = _recorded_step(_model_config("sfsf", dropout=0.1))
+    # the root stays alive in the caller; every other later output must be gone
+    later = [weakref.ref(node.output.data) for node in tape.nodes[1:-1]]
+    first = tape.nodes[0]
+    first_fn = first.backward_fn
+    alive_then = []
+
+    def first_backward(g):
+        alive_then.append([i + 1 for i, ref in enumerate(later) if ref() is not None])
+        return first_fn(g)
+
+    first.backward_fn = first_backward
+    del first
+    gc.disable()  # freed by reference counts alone
+    try:
+        backward(loss, tape)
+    finally:
+        gc.enable()
+    assert alive_then == [[]]
+
+
+def test_backward_keeps_the_tape_length_and_clears_non_leaf_grads():
+    model, _, loss, tape = _recorded_step(_model_config("sfsf"))
+    outputs = [node.output for node in tape.nodes]
+    backward(loss, tape)
+    assert len(tape.nodes) == len(outputs)
+    assert all(t.grad is None for t in outputs)
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_backward_peak_memory_stays_near_what_forward_holds():
+    cfg = _model_config("sfsfsfsf", d=32, context=32)
+    model = build_model(cfg, rng_seed=0)
+    toks = np.random.default_rng(0).integers(0, cfg.vocab, size=(8, cfg.context + 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = cross_entropy_loss(forward(model, toks[:, :-1]), toks[:, 1:])
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a backward that keeps the tape alive until it ends peaks at about 1.54x
+    assert peak <= 1.3 * held, (peak, held)
