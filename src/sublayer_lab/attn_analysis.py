@@ -3,11 +3,12 @@
 For two models run on the same tokens, each (self-attention sublayer, token)
 pair yields a head-to-head cost matrix of 1-Wasserstein distances between
 attention distributions; a minimum-cost head matching gives the distance for
-that token and layer, and the grand mean averages over all of them. A pair
-of models makes one call to a shortest-augmenting-path assignment solver,
-which solves all of its (sublayer, token) cells at once, each bitwise as if
-alone; a model's distance to itself is 0 without solving, since its cost
-matrices have a zero diagonal and no negative entry.
+that token and layer, and the grand mean averages over all of them. The
+(sublayer, token) cells of every distinct pair of a distance matrix go to a
+shortest-augmenting-path assignment solver together, one call per block of
+at most ``SOLVE_BLOCK`` cells, and each cell is solved bitwise as if alone;
+a model's distance to itself is 0 without solving, since its cost matrices
+have a zero diagonal and no negative entry.
 
 A cost is the L1 distance between two CDFs, ``sum_i |CDF_p(i) - CDF_q(i)|``
 (Vallender 1974): each dump's rows are cumulatively summed once, and a cost
@@ -49,11 +50,13 @@ __all__ = [
     "emd_1d",
     "hungarian",
     "attention_distance",
+    "shape_mismatches",
     "distance_matrix",
     "group_pair_means",
 ]
 
 DUMP_VERSION = 1
+SOLVE_BLOCK = 1024  # cells per assignment solve; the cost per cell is flat above about this many
 
 
 @dataclass
@@ -342,26 +345,73 @@ class DistanceReport:
     grand_mean: float
 
 
+def _cdfs(probs: np.ndarray) -> np.ndarray:
+    """A dump's ``[layers, H, t, t]`` rows as the CDFs of its cells, ``[layers * t, H, t]``."""
+    _, h, t, _ = probs.shape
+    return np.cumsum(probs, axis=-1).transpose(0, 2, 1, 3).reshape(-1, h, t)
+
+
+def _oriented_costs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The ``[K, H, H]`` head-to-head costs of K cells from their ``[K, H, t]``
+    CDFs: summed absolute CDF differences, each cell transposed where that is
+    its canonical orientation (see the module docstring)."""
+    diff = ca[:, :, None, :] - cb[:, None, :, :]
+    cost = np.abs(diff, out=diff).sum(axis=-1)
+    k = len(cost)
+    cost_t = cost.transpose(0, 2, 1)
+    flat, flat_t = cost.reshape(k, -1), cost_t.reshape(k, -1)
+    first = (flat != flat_t).argmax(axis=1)  # 0 when the matrix is symmetric
+    cells = np.arange(k)
+    use_t = flat_t[cells, first] < flat[cells, first]
+    return np.where(use_t[:, None, None], cost_t, cost)
+
+
 def _cell_costs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Head-to-head EMD costs of every (sublayer, token) cell, canonically oriented.
 
-    ``pa`` and ``pb`` are ``[layers, H, t, t]``, each cumulatively summed once
-    along its last axis; returns the ``[layers * t, H, H]`` stack of summed
-    absolute CDF differences, each cell transposed where that is its canonical
-    orientation (see the module docstring).
+    ``pa`` and ``pb`` are ``[layers, H, t, t]``; returns the ``[layers * t, H, H]``
+    stack that :func:`_pair_minima` solves for this pair.
     """
-    ca = np.cumsum(pa, axis=-1).transpose(0, 2, 1, 3)  # CDFs, [layers, t, H, t]
-    cb = np.cumsum(pb, axis=-1).transpose(0, 2, 1, 3)
-    diff = ca[:, :, :, None, :] - cb[:, :, None, :, :]
-    cost = np.abs(diff, out=diff).sum(axis=-1)
-    h = cost.shape[-1]
-    cost = cost.reshape(-1, h, h)
-    cost_t = cost.transpose(0, 2, 1)
-    flat, flat_t = cost.reshape(len(cost), -1), cost_t.reshape(len(cost), -1)
-    first = (flat != flat_t).argmax(axis=1)  # 0 when the matrix is symmetric
-    cells = np.arange(len(cost))
-    use_t = flat_t[cells, first] < flat[cells, first]
-    return np.where(use_t[:, None, None], cost_t, cost)
+    return _oriented_costs(_cdfs(pa), _cdfs(pb))
+
+
+def _pair_minima(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[list[float]]:
+    """Every cell's minimum matching cost, per ``(cdfs_a, cdfs_b)`` pair.
+
+    The cells of all pairs, pair after pair, are built and solved in blocks
+    of at most ``SOLVE_BLOCK``, one solver call each, so memory stays bounded
+    however many pairs there are. A block may cut a pair in two: each cell's
+    cost is built from its own rows and solved bitwise as if alone.
+    """
+    k = len(pairs[0][0]) if pairs else 0
+    cells = len(pairs) * k
+    totals: list[float] = []
+    for start in range(0, cells, SOLVE_BLOCK):
+        stop = min(start + SOLVE_BLOCK, cells)
+        costs = []
+        for p in range(start // k, (stop - 1) // k + 1):
+            ca, cb = pairs[p]
+            lo, hi = max(start - p * k, 0), min(stop - p * k, k)
+            costs.append(_oriented_costs(ca[lo:hi], cb[lo:hi]))
+        totals += _assignment_min(np.concatenate(costs))[1]
+    return [totals[p * k : (p + 1) * k] for p in range(len(pairs))]
+
+
+def shape_mismatches(dumps) -> list[str]:
+    """One message per dump whose (s_count, heads, t) differs from the first dump's."""
+    shapes = [(d.s_count, d.heads, d.t) for d in dumps]
+    return [
+        f"dump {i} ({d.model_id!r}) has (s_count, heads, t) = {shape}, "
+        f"dump 0 ({dumps[0].model_id!r}) has {shapes[0]}"
+        for i, (d, shape) in enumerate(zip(dumps, shapes))
+        if shape != shapes[0]
+    ]
+
+
+def _check_shapes(dumps) -> None:
+    mismatches = shape_mismatches(dumps)
+    if mismatches:
+        raise ValueError("incompatible dumps: " + "; ".join(mismatches))
 
 
 def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> DistanceReport:
@@ -369,20 +419,18 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
 
     Sublayers pair by self-attention ordinal (i-th `s` with i-th `s`), so the
     dumps must agree on head count, token count, and number of self-attention
-    sublayers. The grand mean averages the per-(token, layer) minima. All
-    ``s_count * t`` minima come from one solver call; a self pair makes none.
+    sublayers. The grand mean averages the per-(token, layer) minima, which
+    come from :func:`_pair_minima` as for one pair of a distance matrix; a
+    self pair solves nothing.
     """
-    for attr in ("heads", "t", "s_count"):
-        va, vb = getattr(dump_a, attr), getattr(dump_b, attr)
-        if va != vb:
-            raise ValueError(f"incompatible dumps: {attr} {va} != {vb}")
+    _check_shapes([dump_a, dump_b])
     _check_probabilities(dump_a.probs, dump_a.model_id)
     _check_probabilities(dump_b.probs, dump_b.model_id)
     layers, t = dump_a.s_count, dump_a.t
     distances = np.zeros((layers, t))
     if dump_a is not dump_b:  # a self pair's costs have a zero diagonal: every minimum is 0
-        _, totals = _assignment_min(_cell_costs(dump_a.probs, dump_b.probs))
-        distances[:] = np.reshape(totals, (layers, t))
+        [minima] = _pair_minima([(_cdfs(dump_a.probs), _cdfs(dump_b.probs))])
+        distances[:] = np.reshape(minima, (layers, t))
     per_layer = np.array([math.fsum(distances[i]) / t for i in range(layers)])
     grand = math.fsum(distances.reshape(-1)) / (layers * t)
     return DistanceReport(
@@ -401,18 +449,28 @@ class DistanceTable:
 
 
 def distance_matrix(dumps) -> DistanceTable:
-    """All pairwise grand means; each unordered pair is computed once."""
+    """All pairwise grand means, bitwise those of :func:`attention_distance`.
+
+    Raises ``ValueError`` naming every dump whose shape differs from the first
+    dump's, before any other work. Each diagonal entry is
+    ``attention_distance(d, d)``, which validates the dump's rows and is 0.
+    Each dump's rows are then cumulatively summed once, and the cells of every
+    distinct pair are solved together (:func:`_pair_minima`); the same dump
+    object listed twice is 0 apart without a solve.
+    """
     dumps = list(dumps)
     if len(dumps) < 2:
         raise ValueError("distance_matrix needs at least 2 dumps")
+    _check_shapes(dumps)
     n = len(dumps)
     table = np.zeros((n, n))
-    for i in range(n):
-        table[i, i] = attention_distance(dumps[i], dumps[i]).grand_mean
-        for j in range(i + 1, n):
-            g = attention_distance(dumps[i], dumps[j]).grand_mean
-            table[i, j] = g
-            table[j, i] = g
+    for i, dump in enumerate(dumps):
+        table[i, i] = attention_distance(dump, dump).grand_mean
+    cdfs = {id(dump): _cdfs(dump.probs) for dump in dumps}
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if dumps[i] is not dumps[j]]
+    minima = _pair_minima([(cdfs[id(dumps[i])], cdfs[id(dumps[j])]) for i, j in pairs])
+    for (i, j), cells in zip(pairs, minima):
+        table[i, j] = table[j, i] = math.fsum(cells) / len(cells)
     return DistanceTable(model_ids=[d.model_id for d in dumps], grand_means=table)
 
 

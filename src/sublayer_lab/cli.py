@@ -406,12 +406,13 @@ def _cmd_distance(args) -> int:
     _raise_if(errors)
 
     dumps = [attn_analysis.load_dump(p) for p in paths]
-    if groups:
-        _raise_if([
-            f"groups: no group label for dumped model_id {mid!r}"
-            for mid in dict.fromkeys(dump.model_id for dump in dumps)
-            if mid not in groups
-        ])
+    errors = [f"dumps: {msg}" for msg in attn_analysis.shape_mismatches(dumps)]
+    errors += [
+        f"groups: no group label for dumped model_id {mid!r}"
+        for mid in dict.fromkeys(dump.model_id for dump in dumps)
+        if groups and mid not in groups
+    ]
+    _raise_if(errors)
     table = attn_analysis.distance_matrix(dumps)
     print("model_id\t" + "\t".join(table.model_ids))
     for mid, row in zip(table.model_ids, table.grand_means):

@@ -222,11 +222,14 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     saved arrays, and its output's ``.grad`` is cleared. Only leaves, tensors
     that no node on this tape produced, keep (and accumulate) a ``.grad``;
     leaves whose gradient is never reached are left untouched. A consumed
-    tape raises ``ValueError``. Bit-for-bit deterministic.
+    tape, or a loss recorded on another tape, raises ``ValueError``.
+    Bit-for-bit deterministic.
     """
     tape = tape if tape is not None else loss.tape
     if tape is None:
         raise ValueError("loss was not recorded on any tape")
+    if loss._tape is not None and loss._tape is not tape._ref:
+        raise ValueError("loss was recorded on another tape")
     if loss.data.shape != ():
         raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
     if tape._consumed:

@@ -542,7 +542,7 @@ def test_distance_cells_are_bitwise_scalar_solves(heads, kinds):
             assert report.distances[i, tok] == reference_assignment_min(cost)[1]
 
 
-def test_one_solver_call_per_distinct_pair(monkeypatch):
+def test_one_solver_call_per_pair_and_per_matrix(monkeypatch):
     calls = []
     solve = aa._assignment_min
 
@@ -558,7 +558,45 @@ def test_one_solver_call_per_distinct_pair(monkeypatch):
     assert calls == [(12, 3, 3)]  # every (sublayer, token) cell in one stack
     calls.clear()
     aa.distance_matrix(dumps)
-    assert len(calls) == 3
+    assert calls == [(36, 3, 3)]  # the cells of all three pairs in one stack
+
+
+def test_distance_matrix_is_bitwise_the_per_pair_distances(monkeypatch):
+    base = random_dump(31, heads=4, t=10, model_id="random")
+    quarters = tie_heavy_dump(32, 4, "quarters", model_id="quarters")
+    copy = aa.AttentionDump("copy", quarters.ordering, 4, 10, quarters.probs.copy())
+    dumps = [base, quarters, tie_heavy_dump(33, 4, "early", model_id="early"), base, copy]
+    expected = np.array([[aa.attention_distance(a, b).grand_mean for b in dumps] for a in dumps])
+    solved = []
+    solve = aa._assignment_min
+
+    def counted(cost):
+        solved.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(aa, "_assignment_min", counted)
+    table = aa.distance_matrix(dumps).grand_means
+    assert table.tobytes() == expected.tobytes()
+    assert solved == [9 * 20]  # every pair but the one dump object listed twice
+    assert table[0, 3] == table[1, 4] == 0.0  # the same dump twice, and an equal copy
+    assert (table[np.triu_indices(5, 1)] > 0).sum() == 8
+
+
+def test_solver_blocks_may_cut_a_pair_in_two(monkeypatch):
+    dumps = [random_dump(40 + i, s_count=2, heads=3, t=6, model_id=f"m{i}") for i in range(4)]
+    whole = aa.distance_matrix(dumps).grand_means
+    calls = []
+    solve = aa._assignment_min
+
+    def counted(cost):
+        calls.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(aa, "_assignment_min", counted)
+    monkeypatch.setattr(aa, "SOLVE_BLOCK", 5)
+    assert aa.distance_matrix(dumps).grand_means.tobytes() == whole.tobytes()
+    cells = 6 * 12  # six pairs of 2 sublayers x 6 tokens; 12 is not a multiple of 5
+    assert len(calls) == math.ceil(cells / 5) and sum(calls) == cells and max(calls) == 5
 
 
 # -- cell costs -------------------------------------------------------------------

@@ -644,6 +644,25 @@ def test_misspelled_keys_exit_2_before_a_model_is_built(tmp_path, tiny_corpus, c
         ]
 
 
+def test_distance_incompatible_dumps_exit_2_listing_every_one(tmp_path, capsys):
+    paths = []
+    for mid, heads, t in (("a", 2, 4), ("b", 3, 4), ("c", 2, 5)):
+        path = tmp_path / f"{mid}.jsonl"
+        probs = np.full((2, heads, t, t), 1.0 / t)
+        attn_analysis.save_dump(attn_analysis.AttentionDump(mid, "sfsf", heads, t, probs), path)
+        paths.append(str(path))
+    out = tmp_path / "dist.out.json"
+    cfg = tmp_path / "dist.json"
+    cfg.write_text(json.dumps({"dumps": paths, "out": str(out)}))
+    assert main(["distance", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "config error: dumps: dump 1 ('b') has (s_count, heads, t) = (2, 3, 4), dump 0 ('a') has (2, 2, 4)",
+        "config error: dumps: dump 2 ('c') has (s_count, heads, t) = (2, 2, 5), dump 0 ('a') has (2, 2, 4)",
+    ]
+    assert captured.out == "" and not out.exists()
+
+
 def test_distance_groups_take_any_model_id(tmp_path, capsys):
     paths = []
     for mid in ("sead", "train.lerning_rate"):

@@ -864,6 +864,21 @@ def test_a_consumed_tape_raises():
         backward(w, tape)
 
 
+def test_a_loss_from_another_tape_raises():
+    x = Tensor([1.0, 2.0])
+    with Tape() as tape1:
+        z = sum_all(mul(x, x))
+    tape2 = Tape()
+    with pytest.raises(ValueError, match="recorded on another tape"):
+        backward(z, tape2)
+    assert not tape2._consumed and z.grad is None and x.grad is None
+    backward(z, tape1)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    leaf = Tensor(3.0)  # recorded on no tape: an explicit tape is still taken
+    backward(leaf, Tape())
+    assert leaf.grad == 1.0
+
+
 def _model_config(ordering="sfsf", d=16, context=8, **kw):
     decoder = "c" in ordering
     return ModelConfig(
