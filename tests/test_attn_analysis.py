@@ -542,7 +542,7 @@ def test_distance_cells_are_bitwise_scalar_solves(heads, kinds):
             assert report.distances[i, tok] == reference_assignment_min(cost)[1]
 
 
-def test_one_solver_call_per_pair_and_per_matrix(monkeypatch):
+def _count_solver_calls(monkeypatch) -> list:
     calls = []
     solve = aa._assignment_min
 
@@ -551,12 +551,21 @@ def test_one_solver_call_per_pair_and_per_matrix(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(aa, "_assignment_min", counted)
-    dumps = [random_dump(30 + i, s_count=2, heads=3, t=6, model_id=f"m{i}") for i in range(3)]
+    return calls
+
+
+def test_one_solver_call_per_distinct_pair(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    dumps = [random_dump(30 + i, s_count=2, heads=3, t=6, model_id=f"m{i}") for i in range(2)]
     aa.attention_distance(dumps[0], dumps[0])
     assert calls == []
     aa.attention_distance(dumps[0], dumps[1])
     assert calls == [(12, 3, 3)]  # every (sublayer, token) cell in one stack
-    calls.clear()
+
+
+def test_one_solver_call_per_distance_matrix(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    dumps = [random_dump(30 + i, s_count=2, heads=3, t=6, model_id=f"m{i}") for i in range(3)]
     aa.distance_matrix(dumps)
     assert calls == [(36, 3, 3)]  # the cells of all three pairs in one stack
 
