@@ -14,7 +14,9 @@ A cost is the L1 distance between two CDFs, ``sum_i |CDF_p(i) - CDF_q(i)|``
 (Vallender 1974): each dump's rows are cumulatively summed once, and a cost
 is one difference of CDFs, not the CDF of a difference. The two forms round
 differently (on trained models' dumps, costs differ by at most 1.6e-14
-absolute); every cost is bitwise :func:`emd_1d` of its two rows.
+absolute); every cost is bitwise :func:`emd_1d` of its two rows. The
+differences are built in blocks of cells, at most ``COST_FLOATS`` floats at a
+time, so building costs takes bounded memory however long the dumps are.
 
 Symmetry is exact by construction: negating a float is exact, so the costs
 of (B, A) are bitwise the transposes of those of (A, B). Each cell is solved
@@ -57,6 +59,7 @@ __all__ = [
 
 DUMP_VERSION = 1
 SOLVE_BLOCK = 1024  # cells per assignment solve; the cost per cell is flat above about this many
+COST_FLOATS = 2**20  # floats of absolute CDF differences built at once
 
 
 @dataclass
@@ -354,10 +357,19 @@ def _cdfs(probs: np.ndarray) -> np.ndarray:
 def _oriented_costs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """The ``[K, H, H]`` head-to-head costs of K cells from their ``[K, H, t]``
     CDFs: summed absolute CDF differences, each cell transposed where that is
-    its canonical orientation (see the module docstring)."""
-    diff = ca[:, :, None, :] - cb[:, None, :, :]
-    cost = np.abs(diff, out=diff).sum(axis=-1)
-    k = len(cost)
+    its canonical orientation (see the module docstring).
+
+    The ``[cells, H, H, t]`` differences are built a few cells at a time in
+    one reused buffer of at most ``COST_FLOATS`` floats (at least one cell)."""
+    k, h, t = ca.shape
+    cost = np.empty((k, h, h))
+    step = max(1, COST_FLOATS // (h * h * t))
+    buf = np.empty((min(step, k), h, h, t))
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        diff = buf[: hi - lo]
+        np.subtract(ca[lo:hi, :, None, :], cb[lo:hi, None, :, :], out=diff)
+        np.add.reduce(np.abs(diff, out=diff), axis=-1, out=cost[lo:hi])
     cost_t = cost.transpose(0, 2, 1)
     flat, flat_t = cost.reshape(k, -1), cost_t.reshape(k, -1)
     first = (flat != flat_t).argmax(axis=1)  # 0 when the matrix is symmetric
@@ -425,7 +437,8 @@ def attention_distance(dump_a: AttentionDump, dump_b: AttentionDump) -> Distance
     """
     _check_shapes([dump_a, dump_b])
     _check_probabilities(dump_a.probs, dump_a.model_id)
-    _check_probabilities(dump_b.probs, dump_b.model_id)
+    if dump_b is not dump_a:
+        _check_probabilities(dump_b.probs, dump_b.model_id)
     layers, t = dump_a.s_count, dump_a.t
     distances = np.zeros((layers, t))
     if dump_a is not dump_b:  # a self pair's costs have a zero diagonal: every minimum is 0

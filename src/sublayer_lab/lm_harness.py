@@ -4,6 +4,11 @@ Runs are deterministic functions of their configuration: model init, batch
 order, and per-trial seeds all derive from explicit integer seeds. Search and
 sweep results go to an append-only JSON Lines file with one record per trial,
 which makes interrupted runs resumable by trial index.
+
+Evaluation works in bounded memory: the NLL is summed per chunk of 64
+windows, and each chunk's forward runs in slices of windows sized so that one
+slice's widest activation fits ``EVAL_FLOATS``, with the same result bit for
+bit. Training frees Adam's state before its final evaluation.
 """
 
 from __future__ import annotations
@@ -75,6 +80,10 @@ RESULTS_VERSION = 1
 # Mean dev perplexity of the five bundled interleaved reference runs; the
 # default better/worse threshold when analyzing the bundled tables.
 DEFAULT_REFERENCE_THRESHOLD = 18.65
+
+# Floats one slice of an evaluation forward may give to its widest activation
+# (q, k and v, the FFN's inner layer, the attention scores or the logits).
+EVAL_FLOATS = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +373,7 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
         adam_step(params, state)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
             curve.append((step, float(loss.data)))
+    del state, tape, loss  # Adam's moments and flat gradient are not needed to score
     valid_nats = evaluate(model, corpus.valid_ids, cfg.context)
     record = TrialRecord.build(
         ordering=str(cfg.model.ordering),
@@ -385,11 +395,21 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     """Average NLL (nats/char) over non-overlapping context windows.
 
     Windows stride by ``context`` so every character after the first is
-    predicted exactly once; a short tail window is evaluated as-is.
+    predicted exactly once; a short tail window is evaluated as-is. The NLL
+    is summed per chunk of 64 windows, and each chunk's forward runs in
+    slices of windows whose widest activation fits ``EVAL_FLOATS`` floats;
+    the logits are bitwise those of one forward per chunk. Raises
+    ``ValueError`` for a ``context`` outside ``[1, model.config.context]``
+    before any work.
     """
+    cfg = model.config
+    if not 1 <= context <= cfg.context:
+        raise ValueError(f"context {context} outside [1, model.config.context={cfg.context}]")
     ids = np.asarray(stream)
     if ids.size < 2:
         raise ValueError("evaluation stream must hold at least 2 characters")
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * context, cfg.vocab)
+    step = max(1, EVAL_FLOATS // (context * widest))
     full: list[np.ndarray] = []
     tail: list[np.ndarray] = []
     start = 0
@@ -406,7 +426,8 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
                 if not chunk:
                     continue
                 w = np.stack(chunk)
-                logits = forward(model, w[:, :-1]).data
+                parts = [forward(model, w[i : i + step, :-1]).data for i in range(0, len(w), step)]
+                logits = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 total_nll += _nll_sum(logits, w[:, 1:])
                 total_chars += w[:, 1:].size
     return total_nll / total_chars

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -608,7 +609,42 @@ def test_solver_blocks_may_cut_a_pair_in_two(monkeypatch):
     assert len(calls) == math.ceil(cells / 5) and sum(calls) == cells and max(calls) == 5
 
 
+def test_a_distance_matrix_checks_each_dumps_rows_once(monkeypatch):
+    calls = []
+    check = aa._check_probabilities
+
+    def counted(probs, model_id):
+        calls.append(model_id)
+        check(probs, model_id)
+
+    monkeypatch.setattr(aa, "_check_probabilities", counted)
+    aa.distance_matrix([random_dump(90 + i, model_id=f"m{i}") for i in range(3)])
+    assert calls == ["m0", "m1", "m2"]
+
+
 # -- cell costs -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells_per_block", [0, 1, 7])  # 0: below one cell, still one at a time
+def test_cost_blocks_leave_the_table_bitwise_unchanged(monkeypatch, cells_per_block):
+    dumps = [random_dump(100 + i, s_count=2, heads=4, t=9, model_id=f"m{i}") for i in range(3)]
+    whole = aa.distance_matrix(dumps).grand_means
+    costs = aa._cell_costs(dumps[0].probs, dumps[1].probs)
+    monkeypatch.setattr(aa, "COST_FLOATS", cells_per_block * 4 * 4 * 9)  # 18 cells per pair
+    assert aa._cell_costs(dumps[0].probs, dumps[1].probs).tobytes() == costs.tobytes()
+    assert aa.distance_matrix(dumps).grand_means.tobytes() == whole.tobytes()
+
+
+def test_building_costs_takes_bounded_memory():
+    dumps = [random_dump(110 + i, s_count=2, heads=16, t=128, model_id=f"m{i}") for i in range(2)]
+    tracemalloc.start()
+    try:
+        aa.distance_matrix(dumps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 256 cells' [16, 16, 128] differences at once peak at about 77 MB
+    assert peak < 30e6, peak
 
 
 def reference_cell_costs(pa, pb):

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 import xml.etree.ElementTree as ET
 
@@ -17,7 +19,7 @@ from sublayer_lab.arch_dsl import (
     total_units,
 )
 from sublayer_lab.model import ModelConfig, build_model, forward
-from sublayer_lab.tensor_core import Tape, cross_entropy_loss
+from sublayer_lab.tensor_core import OptimizerState, Tape, cross_entropy_loss, no_grad
 
 
 def tiny_template(**kw):
@@ -117,6 +119,93 @@ def test_evaluate_each_char_predicted_once():
     assert abs(nats - total / count) < 1e-12
     with pytest.raises(ValueError):
         lm.evaluate(model, stream[:1], context=5)
+
+
+def one_forward_per_chunk(model, stream, context):
+    """The reference for ``evaluate``: one unsliced forward per chunk of 64 windows."""
+    starts = range(0, stream.size - 1, context)
+    windows = [stream[s : s + context + 1] for s in starts]
+    full = [w for w in windows if w.size == context + 1]
+    tail = [w for w in windows if w.size != context + 1]
+    total, chars = 0.0, 0
+    with no_grad():
+        for group in (full, tail):
+            for off in range(0, len(group), 64):
+                w = np.stack(group[off : off + 64])
+                total += lm._nll_sum(forward(model, w[:, :-1]).data, w[:, 1:])
+                chars += w[:, 1:].size
+    return total / chars
+
+
+@pytest.mark.parametrize("per_slice", [1, 3])
+def test_evaluate_in_slices_is_bitwise_one_forward_per_chunk(monkeypatch, per_slice):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sfsf"))
+    model = build_model(cfg, 4)
+    stream = corpus.train_ids[: 66 * 5 + 1 + 3]  # 66 full windows and a tail of 3
+    expected = one_forward_per_chunk(model, stream, 5)
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
+    monkeypatch.setattr(lm, "EVAL_FLOATS", per_slice * 5 * widest)
+    sizes = []
+
+    def counted(model, tokens):
+        sizes.append(len(tokens))
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", counted)
+    assert lm.evaluate(model, stream, 5) == expected
+    # chunks of 64 and 2 full windows, then the tail, each cut into slices
+    chunks = [64, 2, 1]
+    assert sizes == [min(per_slice, n - i) for n in chunks for i in range(0, n, per_slice)]
+
+
+def test_evaluate_memory_is_bounded_by_its_slices(bundled_corpus):
+    cfg = ModelConfig(d=32, heads=8, vocab=bundled_corpus.vocab_size, context=64,
+                      ordering=parse_ordering("sfsf"))
+    model = build_model(cfg, 0)
+    stream = bundled_corpus.valid_ids[: 64 * 64 + 1]
+    expected = one_forward_per_chunk(model, stream, 64)
+    tracemalloc.start()
+    try:
+        nats = lm.evaluate(model, stream, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nats == expected
+    # one forward over all 64 windows peaks at about 24 MB, slices of 4 at about 7 MB
+    assert peak < 12e6, peak
+
+
+def test_evaluate_rejects_a_context_outside_the_model():
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("s"))
+    model = build_model(cfg, 2)
+    # a context below 1 would never advance the window, so evaluate would never return
+    for context in (0, -1, 6):
+        with pytest.raises(ValueError, match=f"context {context} outside"):
+            lm.evaluate(model, corpus.valid_ids, context)
+
+
+def test_final_evaluation_runs_after_the_optimizer_is_freed(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = tiny_template(steps=3).instantiate(parse_ordering("sf"), corpus.vocab_size, seed=1)
+
+    def live_states():
+        gc.collect()
+        return sum(isinstance(o, OptimizerState) for o in gc.get_objects())
+
+    before, during = live_states(), []
+    evaluate = lm.evaluate
+
+    def stub(model, stream, context):
+        during.append(live_states())
+        return evaluate(model, stream, context)
+
+    monkeypatch.setattr(lm, "evaluate", stub)
+    lm.train_model(cfg, corpus)
+    assert during == [before]
 
 
 # -- train ------------------------------------------------------------------------
