@@ -8,7 +8,10 @@ which makes interrupted runs resumable by trial index.
 Evaluation works in bounded memory: the NLL is summed per chunk of 64
 windows, and each chunk's forward runs in slices of windows sized so that one
 slice's widest activation fits ``EVAL_FLOATS``, with the same result bit for
-bit. Training frees Adam's state before its final evaluation.
+bit. Training runs its steps inside a ``tensor_core.buffer_pool()``, so each
+step reuses the activation and gradient buffers of the step before it; it
+leaves the pool, and frees Adam's state, before its final evaluation.
+``evaluate`` itself never enters a pool.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .tensor_core import (
     Tape,
     adam_step,
     backward,
+    buffer_pool,
     cross_entropy_loss,
     no_grad,
 )
@@ -365,14 +369,15 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
     rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "batch")))
     drop_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0, "dropout")))
     curve: list[tuple[int, float]] = []
-    for step in range(1, cfg.steps + 1):
-        x, y = _sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size)
-        with Tape() as tape:
-            loss = cross_entropy_loss(forward(model, x, dropout_rng=drop_rng), y)
-        backward(loss, tape)
-        adam_step(params, state)
-        if step % cfg.eval_interval == 0 or step == cfg.steps:
-            curve.append((step, float(loss.data)))
+    with buffer_pool():  # each step reuses the buffers the step before it freed
+        for step in range(1, cfg.steps + 1):
+            x, y = _sample_batch(rng, corpus.train_ids, cfg.context, cfg.batch_size)
+            with Tape() as tape:
+                loss = cross_entropy_loss(forward(model, x, dropout_rng=drop_rng), y)
+            backward(loss, tape)
+            adam_step(params, state)
+            if step % cfg.eval_interval == 0 or step == cfg.steps:
+                curve.append((step, float(loss.data)))
     del state, tape, loss  # Adam's moments and flat gradient are not needed to score
     valid_nats = evaluate(model, corpus.valid_ids, cfg.context)
     record = TrialRecord.build(

@@ -31,6 +31,20 @@ straight into the [N, d] rows the projections read. ``layer_norm`` and
 gradient reduction call ``np.add.reduce`` directly: the same float
 operations, in the same order, as ``ndarray.mean``/``sum``.
 
+Inside ``buffer_pool()`` the ops take their activation and gradient buffers
+from a thread-local pool instead of allocating them, so a loop of training
+steps stops freeing and re-faulting the same memory. The rule that keeps this
+safe: a buffer is handed out again only when ``sys.getrefcount`` shows that
+nothing but the pool still references it. A live view references its base,
+so a buffer cannot be reused while any tensor, closure or caller still reads
+it. Buffers are kept flat, keyed by size and dtype, and reshaped when handed
+out. Each op asks once whether to pool (``_pool_for``): only inside a pool
+and only when its input has at least ``POOL_MIN_SIZE`` elements. The ops
+write into the buffers with ``out=``, the same ufuncs and GEMMs in the same
+order, so results are bitwise those without a pool; without one, ``out=None``
+lets numpy allocate as the operator form does. ``lm_harness.train_model``
+enters a pool around its steps.
+
 ``adam_step`` keeps the parameters and both Adam moments in one flat buffer
 each. It adopts the buffer that the parameters already tile in list order
 (``tiled_buffer``); otherwise it copies them into a fresh one. Either
@@ -41,6 +55,7 @@ and the update runs over that buffer in fixed blocks.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import weakref
 from contextlib import contextmanager
@@ -52,6 +67,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "no_grad",
+    "buffer_pool",
     "backward",
     "add",
     "sub",
@@ -168,7 +184,11 @@ class Tape:
         return False
 
 
-_LOCAL = threading.local()
+class _ThreadState(threading.local):
+    pool: "_Pool | None" = None  # the buffer pool this thread entered, if any
+
+
+_LOCAL = _ThreadState()
 
 
 def _active() -> list:
@@ -192,6 +212,81 @@ def no_grad():
         yield
     finally:
         _active().pop()
+
+
+class _Pool:
+    """Flat buffers per (size, dtype). Each list is scanned from just past
+    the buffer it last handed out: in a forward pass, where every buffer
+    taken stays held, the first one tried is then usually free."""
+
+    def __init__(self):
+        self.buffers: dict[tuple, list[np.ndarray]] = {}
+        self.cursors: dict[tuple, int] = {}
+        self.misses = 0  # buffers allocated rather than reused
+
+    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A buffer of ``shape`` that nothing else references, new if need be."""
+        key = (math.prod(shape), dtype)
+        bufs = self.buffers.setdefault(key, [])
+        n = len(bufs)
+        at = self.cursors.get(key, 0)
+        for i in range(at, at + n):
+            buf = bufs[i % n]
+            if sys.getrefcount(buf) == _FREE:
+                self.cursors[key] = i % n + 1
+                return buf.reshape(shape)
+        self.misses += 1
+        bufs.append(np.empty(key[0], dtype))
+        self.cursors[key] = n + 1
+        return bufs[-1].reshape(shape)
+
+
+def _free_count() -> int:
+    """References to a buffer that only the pool holds, as ``take`` counts
+    them: its list's, the local name's and the argument's."""
+    bufs = [np.empty(0)]
+    buf = bufs[0]
+    return sys.getrefcount(buf)
+
+
+_FREE = _free_count()
+
+# Ops on smaller inputs do not pool: their buffers come from the allocator's
+# heap, where they do not fault, faster than from a pool scan. No op of a d=16
+# training step reaches this size; every op on a d=64 step's activations does.
+POOL_MIN_SIZE = 8192
+
+
+@contextmanager
+def buffer_pool():
+    """Reuse op buffers on this thread until exit (see the module docstring).
+
+    Yields the pool; its ``misses`` counts the buffers it had to allocate.
+    On exit the pool lets go of its buffers; any still referenced stay with
+    whoever holds them.
+    """
+    prev = _LOCAL.pool
+    _LOCAL.pool = pool = _Pool()
+    try:
+        yield pool
+    finally:
+        _LOCAL.pool = prev
+
+
+def _pool_for(a: np.ndarray) -> _Pool | None:
+    """The active pool for an op whose buffers scale with ``a``, or None when
+    no pool is active or ``a`` has fewer than ``POOL_MIN_SIZE`` elements.
+
+    An op passes ``out=pool and pool.take(shape)``: None lets numpy allocate,
+    as the operator form does.
+    """
+    pool = _LOCAL.pool
+    return pool if pool is not None and a.size >= POOL_MIN_SIZE else None
+
+
+def _empty(pool: _Pool | None, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``np.empty``, or a free buffer of ``pool``."""
+    return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -246,7 +341,11 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         for tensor, g in zip(node.inputs, node.backward_fn(out_grad)):
             if g is None:
                 continue
-            tensor.grad = g if tensor.grad is None else tensor.grad + g
+            if tensor.grad is None:
+                tensor.grad = g
+            else:
+                pool = _pool_for(g)
+                tensor.grad = np.add(tensor.grad, g, out=pool and pool.take(g.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +353,10 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
+    pool = _pool_for(a.data)
+    if a.data.shape[a.data.ndim - b.data.ndim :] != b.data.shape:
+        pool = None  # the sum is not shaped like a: numpy works its shape out
+    out = Tensor(np.add(a.data, b.data, out=pool and pool.take(a.data.shape)))
     return _record(
         out,
         (a, b),
@@ -296,10 +398,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    pool = _pool_for(a.data) if b.data.ndim == 2 else None
+    shape = (*a.data.shape[:-1], b.data.shape[-1])  # the product's, when b is 2-d
+    out = Tensor(np.matmul(a.data, b.data, out=pool and pool.take(shape)))
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        pool = _pool_for(g) if b.data.ndim == 2 else None
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2), out=pool and pool.take(a.data.shape))
         if b.data.ndim == 2 and a.data.ndim > 2:
             # batched activations x 2-d weight: one flat GEMM beats a batched
             # product followed by a reduction
@@ -397,10 +502,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     float operations as ``ndarray.mean``, run in place where they can be.
     """
     n = x.data.shape[-1]
+    pool = _pool_for(x.data)
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= n
-    xhat = x.data - mu
-    y = xhat * xhat  # the squares, then the output
+    xhat = np.subtract(x.data, mu, out=pool and pool.take(x.data.shape))
+    y = np.multiply(xhat, xhat, out=pool and pool.take(x.data.shape))  # the squares, then output
     ivar = np.add.reduce(y, axis=-1, keepdims=True)  # the variance, then its inverse root
     ivar /= n
     ivar += eps
@@ -412,17 +518,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = Tensor(y)
 
     def bwd(g):
-        dxhat = g * gain.data
+        pool = _pool_for(g)
+        dxhat = np.multiply(g, gain.data, out=pool and pool.take(g.shape))
         mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
         mean /= n
-        dx = dxhat - mean
+        dx = np.subtract(dxhat, mean, out=pool and pool.take(g.shape))
         dxhat *= xhat
         mean = np.add.reduce(dxhat, axis=-1, keepdims=True)
         mean /= n
         np.multiply(xhat, mean, out=dxhat)
         dx -= dxhat
         dx *= ivar
-        dgain = _reduce_to_shape(g * xhat, gain.data.shape)
+        dgain = _reduce_to_shape(np.multiply(g, xhat, out=dxhat), gain.data.shape)
         dbias = _reduce_to_shape(g, bias.data.shape)
         return dx, dgain, dbias
 
@@ -443,19 +550,22 @@ def cross_entropy_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
         )
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
+    shape = logits.data.shape
+    pool = _pool_for(logits.data)
     m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    logsum = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logsum
+    z = np.subtract(logits.data, m, out=pool and pool.take(shape))
+    logsum = np.log(np.exp(z, out=pool and pool.take(shape)).sum(axis=-1, keepdims=True))
+    logp = np.subtract(z, logsum, out=z)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     n = targets.size
     out = Tensor(-picked.sum() / n)
 
     def bwd(g):
-        p = np.exp(logp)
-        gl = p.copy()
+        pool = _pool_for(logp)
+        gl = np.exp(logp, out=pool and pool.take(shape))
         np.subtract.at(gl.reshape(-1, vocab), (np.arange(n), targets.reshape(-1)), 1.0)
-        return (gl * (g / n),)
+        gl *= g / n
+        return (gl,)
 
     return _record(out, (logits,), bwd)
 
@@ -466,10 +576,17 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = rng.random(x.data.shape) >= rate
-    factor = keep / (1.0 - rate)
-    out = Tensor(x.data * factor)
-    return _record(out, (x,), lambda g: (g * factor,))
+    shape, pool = x.data.shape, _pool_for(x.data)
+    draws = rng.random(out=_empty(pool, shape))
+    keep = np.greater_equal(draws, rate, out=pool and pool.take(shape, bool))
+    factor = np.divide(keep, 1.0 - rate, out=pool and pool.take(shape))
+    out = Tensor(np.multiply(x.data, factor, out=pool and pool.take(shape)))
+
+    def bwd(g):
+        pool = _pool_for(g)
+        return (np.multiply(g, factor, out=pool and pool.take(shape)),)
+
+    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +601,22 @@ def _linear(x: Tensor, w: Tensor, b: Tensor, relu_out: bool) -> Tensor:
             f"linear shape mismatch: {x.data.shape} @ {w.data.shape} + {b.data.shape}"
         )
     x2 = x.data.reshape(-1, k)
-    y = x2 @ w.data
+    pool = _pool_for(x2)
+    y = np.matmul(x2, w.data, out=pool and pool.take((x2.shape[0], n)))
     y += b.data
     keep = None
     if relu_out:
-        keep = y > 0
+        keep = np.greater(y, 0, out=pool and pool.take(y.shape, bool))
         y *= keep
     out = Tensor(y.reshape(*x.data.shape[:-1], n))
 
     def bwd(g):
+        pool = _pool_for(g)
         g2 = g.reshape(-1, n)
         if keep is not None:
-            g2 = g2 * keep
-        gx = (g2 @ w.data.T).reshape(x.data.shape)
-        return gx, x2.T @ g2, g2.sum(axis=0)
+            g2 = np.multiply(g2, keep, out=pool and pool.take(g2.shape))
+        gx = np.matmul(g2, w.data.T, out=pool and pool.take(x2.shape)).reshape(x.data.shape)
+        return gx, np.matmul(x2.T, g2, out=pool and pool.take(w.data.shape)), g2.sum(axis=0)
 
     return _record(out, (x, w, b), bwd)
 
@@ -566,11 +685,12 @@ def attention(
         groups = ((queries, (wq, wk, wv), (bq, bk, bv)),)
     else:
         groups = ((queries, (wq,), (bq,)), (keys_values, (wk, wv), (bk, bv)))
+    pool = _pool_for(queries.data)
     projections, saved = [], []
     for x, ws, bs in groups:
         x2 = x.data.reshape(-1, d)
         w = np.concatenate([p.data for p in ws], axis=1)
-        y = x2 @ w
+        y = np.matmul(x2, w, out=pool and pool.take((x2.shape[0], w.shape[1])))
         y += np.concatenate([p.data for p in bs])
         projections += _heads(y, x.data.shape, heads)
         saved.append((x.data.shape, x2, w))
@@ -580,7 +700,7 @@ def attention(
         lead = np.broadcast_shapes(lead, lead_kv)
     shape = (*lead, t, d)
     scale = 1.0 / math.sqrt(d // heads)
-    scores = np.empty((m, *lead, heads, t))  # softmax in place from here
+    scores = _empty(pool, (m, *lead, heads, t))  # softmax in place from here
     key_last = (*range(1, scores.ndim), 0)
     probs = scores.transpose(key_last)  # [*lead, heads, t, m]
     np.matmul(q, np.swapaxes(k, -1, -2), out=probs)
@@ -592,22 +712,24 @@ def attention(
     scores /= np.add.reduce(scores, axis=0)
     if capture is not None:
         capture(probs)
-    ctx2 = np.empty((math.prod(shape[:-1]), d))
+    ctx2 = _empty(pool, (math.prod(shape[:-1]), d))
     np.matmul(probs, v, out=_heads(ctx2, shape, heads)[0])
-    y = ctx2 @ wo.data
+    y = np.matmul(ctx2, wo.data, out=pool and pool.take(ctx2.shape))
     y += bo.data
     out = Tensor(y.reshape(shape))
 
     def bwd(g):
+        pool = _pool_for(g)
         g2 = g.reshape(-1, d)
-        (gctx,) = _heads(g2 @ wo.data.T, shape, heads)
-        gscores = np.empty_like(scores)  # d loss / d probs, then d scores
+        (gctx,) = _heads(np.matmul(g2, wo.data.T, out=pool and pool.take(g2.shape)), shape, heads)
+        gscores = _empty(pool, scores.shape)  # d loss / d probs, then d scores
         gz = gscores.transpose(key_last)
         np.matmul(gctx, np.swapaxes(v, -1, -2), out=gz)
-        gscores -= np.add.reduce(gscores * scores, axis=0)
+        inner = np.multiply(gscores, scores, out=pool and pool.take(scores.shape))
+        gscores -= np.add.reduce(inner, axis=0)
         gscores *= scores
         gscores *= scale
-        gys = [np.empty((x2.shape[0], w.shape[1])) for _, x2, w in saved]
+        gys = [_empty(pool, (x2.shape[0], w.shape[1])) for _, x2, w in saved]
         gq, gk, gv = [
             h for (x_shape, _, _), gy in zip(saved, gys) for h in _heads(gy, x_shape, heads)
         ]
@@ -622,13 +744,15 @@ def attention(
                 gh[...] = _reduce_to_shape(np.matmul(a, b), gh.shape)
         gxs, gws, gbs = [], [], []
         for (x_shape, x2, w), gy in zip(saved, gys):
-            gxs.append((gy @ w.T).reshape(x_shape))
-            gw, gb = x2.T @ gy, np.add.reduce(gy, axis=0)
+            gxs.append(np.matmul(gy, w.T, out=pool and pool.take(x2.shape)).reshape(x_shape))
+            gw = np.matmul(x2.T, gy, out=pool and pool.take(w.shape))
+            gb = np.add.reduce(gy, axis=0)
             gws += [gw[:, j : j + d] for j in range(0, w.shape[1], d)]
             gbs += [gb[j : j + d] for j in range(0, w.shape[1], d)]
         if len(gxs) == 1:
             gxs.append(None)  # keys_values is queries: its gradient is in gxs[0]
-        return (*gxs, *gws, ctx2.T @ g2, *gbs, np.add.reduce(g2, axis=0))
+        gwo = np.matmul(ctx2.T, g2, out=pool and pool.take(wo.data.shape))
+        return (*gxs, *gws, gwo, *gbs, np.add.reduce(g2, axis=0))
 
     return _record(out, (queries, keys_values, wq, wk, wv, wo, bq, bk, bv, bo), bwd)
 
