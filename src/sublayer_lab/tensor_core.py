@@ -251,10 +251,11 @@ def _free_count() -> int:
 
 _FREE = _free_count()
 
-# Ops on smaller inputs do not pool: their buffers come from the allocator's
-# heap, where they do not fault, faster than from a pool scan. No op of a d=16
-# training step reaches this size; every op on a d=64 step's activations does.
-POOL_MIN_SIZE = 8192
+# Ops on smaller inputs do not pool. 16384 float64 elements are 128 KiB,
+# glibc's default mmap threshold: smaller buffers come from its heap, where
+# they did not fault, and a pool scan costs more than it saves (a d=64 step at
+# batch 4, whose inputs have 8192 elements, ran 2-4% slower pooled).
+POOL_MIN_SIZE = 16384
 
 
 @contextmanager
