@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, get_args, get_origin
 
-from . import __version__, arch_dsl, attn_analysis, lm_harness
+from . import __version__, arch_dsl, attn_analysis, lm_harness, results
 from ._json import loads, typed
 from .arch_dsl import OrderingError, parse_ordering
 from .model import load_checkpoint, save_checkpoint
@@ -305,7 +305,7 @@ def _cmd_train(args) -> int:
     if checkpoint_out:
         save_checkpoint(model, checkpoint_out)
     if out:
-        payload = lm_harness.record_to_json_dict(record)
+        payload = results.record_to_json_dict(record)
         Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
         f"ordering={record.ordering} seed={record.seed} "
@@ -454,7 +454,7 @@ def _cmd_analyze_halves(args) -> int:
             field = metric_field or "valid_ppl"
             rows = [
                 (rec.ordering, getattr(rec, field, None))
-                for rec in lm_harness.read_results(records_path)
+                for rec in results.read_results(records_path)
             ]
     try:
         pairs = [(ordering, typed(x, float, "metric_field")) for ordering, x in rows]
@@ -490,7 +490,7 @@ def _cmd_report(args) -> int:
             errors.append(f"formats: unknown format {f!r}")
     _raise_if(errors)
 
-    records = lm_harness.read_results(records_path)
+    records = results.read_results(records_path)
     if not records:
         raise ValueError(f"no trial records in {records_path}")
     written = lm_harness.write_report(records, formats, cfg["out_dir"])
@@ -561,7 +561,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ConfigErrors, lm_harness.ResumeMismatch) as e:  # a resume under another config is one too
+    except (ConfigErrors, results.ResumeMismatch) as e:  # a resume under another config is one too
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 2

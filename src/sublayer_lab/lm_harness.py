@@ -2,8 +2,9 @@
 
 Runs are deterministic functions of their configuration: model init, batch
 order, and per-trial seeds all derive from explicit integer seeds. Search and
-sweep results go to an append-only JSON Lines file with one record per trial,
-which makes interrupted runs resumable by trial index.
+sweep train their trials one at a time and append each record to a results
+file as it finishes, which makes interrupted runs resumable by trial index;
+the file's format is the ``results`` module's.
 
 Evaluation works in bounded memory: the NLL is summed per chunk of 64
 windows, and each chunk's forward runs in slices of windows sized so that one
@@ -17,9 +18,7 @@ leaves the pool, and frees Adam's state, before its final evaluation.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -28,8 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
-from ._json import loads, typed
 from .arch_dsl import (
     OrderingSpec,
     half_counts,
@@ -39,6 +36,15 @@ from .arch_dsl import (
     sandwich,
 )
 from .model import ModelConfig, TransformerStack, build_model, count_params, forward
+from .results import (  # the record and reader are re-exported from here
+    ResumeMismatch,
+    TrialRecord,
+    append_record,
+    open_results,
+    read_results,
+    record_from_json_dict,
+    record_to_json_dict,
+)
 from .tensor_core import (
     OptimizerState,
     Tape,
@@ -78,8 +84,6 @@ __all__ = [
     "write_report",
     "REPORT_FORMATS",
 ]
-
-RESULTS_VERSION = 1
 
 # Mean dev perplexity of the five bundled interleaved reference runs; the
 # default better/worse threshold when analyzing the bundled tables.
@@ -180,7 +184,7 @@ def bundled_corpus_path() -> Path:
 
 
 # ---------------------------------------------------------------------------
-# training configuration and records
+# training configuration
 
 
 @dataclass
@@ -232,108 +236,6 @@ class TrainTemplate:
 
         model = ModelConfig(ordering=ordering, vocab=vocab, **shared(ModelConfig))
         return TrainConfig(model=model, seed=seed, **shared(TrainConfig))
-
-
-@dataclass
-class TrialRecord:
-    """One trained architecture and its metrics.
-
-    ``valid_bpc`` and ``valid_ppl`` are definitional transforms of
-    ``valid_nats`` (nats/char / ln 2 and exp(nats/char)); a diverged run's
-    ``valid_ppl`` is ``inf`` once exp overflows.
-    """
-
-    ordering: str
-    sandwich_k: int  # -1 when the trial is not part of a sweep
-    seed: int
-    loss_curve: list[tuple[int, float]]
-    valid_nats: float
-    valid_bpc: float
-    valid_ppl: float
-    param_count: int
-    wall_clock_s: float
-    index: int = -1
-
-    @classmethod
-    def build(
-        cls, ordering, sandwich_k, seed, loss_curve, valid_nats, param_count,
-        wall_clock_s, index=-1,
-    ) -> "TrialRecord":
-        return cls(
-            ordering=ordering,
-            sandwich_k=sandwich_k,
-            seed=seed,
-            loss_curve=loss_curve,
-            valid_nats=valid_nats,
-            valid_bpc=valid_nats / math.log(2.0),
-            valid_ppl=_perplexity(valid_nats),
-            param_count=param_count,
-            wall_clock_s=wall_clock_s,
-            index=index,
-        )
-
-
-def _perplexity(nats: float) -> float:
-    """exp(nats), or inf where that overflows a float."""
-    try:
-        return math.exp(nats)
-    except OverflowError:
-        return math.inf
-
-
-def record_to_json_dict(rec: TrialRecord) -> dict:
-    return {
-        "v": RESULTS_VERSION,
-        "kind": "trial",
-        "index": rec.index,
-        "ordering": rec.ordering,
-        "sandwich_k": rec.sandwich_k,
-        "seed": rec.seed,
-        "loss_curve": [[int(s), float(l)] for s, l in rec.loss_curve],
-        "valid_nats": rec.valid_nats,
-        "valid_bpc": rec.valid_bpc,
-        "valid_ppl": rec.valid_ppl,
-        "param_count": rec.param_count,
-        "meta": {"wall_clock_s": rec.wall_clock_s},
-    }
-
-
-_RECORD_FIELDS = {
-    "index": int, "ordering": str, "sandwich_k": int, "seed": int, "loss_curve": list,
-    "valid_nats": float, "valid_bpc": float, "valid_ppl": float, "param_count": int,
-}
-
-
-def record_from_json_dict(doc: dict) -> TrialRecord:
-    """Inverse of :func:`record_to_json_dict`.
-
-    Raises ``ValueError`` for anything but a JSON object holding every field
-    with its JSON type, an ``index`` that is -1 (no trial) or more, and a
-    ``valid_bpc`` and ``valid_ppl`` consistent with ``valid_nats``.
-    """
-    typed(doc, dict, "record")
-    try:
-        values = {k: typed(doc[k], kind, f"record field {k!r}") for k, kind in _RECORD_FIELDS.items()}
-    except KeyError as exc:
-        raise ValueError(f"record lacks {exc}") from None
-    if values["index"] < -1:
-        raise ValueError(f"record index must be >= -1, got {values['index']}")
-    curve = []
-    for point in values.pop("loss_curve"):
-        if not (isinstance(point, list) and len(point) == 2 and type(point[0]) is int):
-            raise ValueError(f"record field 'loss_curve' holds {point!r}, not a [step, loss] pair")
-        curve.append((point[0], typed(point[1], float, "a 'loss_curve' loss")))
-    meta = typed(doc.get("meta", {}), dict, "record field 'meta'")
-    wall = typed(meta.get("wall_clock_s", 0.0), float, "record field 'wall_clock_s'")
-    rec = TrialRecord(loss_curve=curve, wall_clock_s=wall, **values)
-    if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
-        raise ValueError(f"record bpc inconsistent with nats: {doc}")
-    ppl = _perplexity(rec.valid_nats)
-    # the tolerance scales with the smaller value, so inf matches only inf
-    tol = 1e-9 * max(1.0, min(ppl, rec.valid_ppl))
-    if ppl != rec.valid_ppl and abs(rec.valid_ppl - ppl) > tol:
-        raise ValueError(f"record ppl inconsistent with nats: {doc}")
-    return rec
 
 
 def derive_seed(master_seed: int, index: int, label: str = "") -> int:
@@ -446,7 +348,7 @@ def _nll_sum(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# search protocols with resumable JSONL persistence
+# search protocols
 
 
 @dataclass
@@ -464,137 +366,37 @@ class SearchConfig:
     workers: int = 1  # accepted, no effect: trials train one at a time
 
 
-def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
-    """Parse an existing results file, tolerating a truncated final line.
-
-    Returns (header, trial records by index, byte offset where clean content
-    ends). Only what a killed writer can leave is taken for truncated: a
-    final segment without a newline, or a final line that does not parse.
-    Every other defect raises ``ValueError`` naming the line: an unparseable
-    line with content after it, a line that is not a JSON object, a ``kind``
-    other than ``header`` or ``trial``, a header anywhere but line 1, a trial
-    before the header, and a trial that is not a valid record or repeats an
-    index.
-    """
-    if not os.path.exists(path):
-        return None, {}, 0
-    raw = Path(path).read_bytes()
-    header = None
-    records: dict[int, TrialRecord] = {}
-    good_end = 0
-    lineno = 0
-    while True:
-        nl = raw.find(b"\n", good_end)
-        if nl == -1:
-            break
-        lineno += 1
-        try:  # UnicodeDecodeError is a ValueError
-            doc = loads(raw[good_end:nl].decode("utf-8"))
-        except ValueError:
-            if nl + 1 < len(raw):
-                raise ValueError(
-                    f"results line {lineno} does not parse and is not the last line"
-                ) from None
-            break
-        if not isinstance(doc, dict):
-            raise ValueError(f"results line {lineno} is not a JSON object")
-        kind = doc.get("kind")
-        if kind == "header":
-            if lineno != 1:
-                raise ValueError(f"results line {lineno}: a header may only be line 1")
-            header = doc
-        elif kind == "trial":
-            if header is None:
-                raise ValueError(f"results line {lineno}: a trial before the header")
-            try:
-                rec = record_from_json_dict(doc)
-            except ValueError as exc:
-                raise ValueError(f"results line {lineno}: {exc}") from None
-            if rec.index < 0:
-                raise ValueError(f"results line {lineno}: trial index must be >= 0, got {rec.index}")
-            if rec.index in records:
-                raise ValueError(f"results line {lineno}: trial index {rec.index} repeats")
-            records[rec.index] = rec
-        else:
-            raise ValueError(f"results line {lineno}: unknown kind {kind!r}")
-        good_end = nl + 1
-    return header, records, good_end
-
-
-class ResumeMismatch(ValueError):
-    """A results file's header disagrees with the run that would resume it;
-    carries one message per differing field."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = errors
-
-
-def _check_resume(path, header: dict, run: dict) -> None:
-    """Raise :class:`ResumeMismatch` naming each of ``mode``, ``master_seed``
-    and ``sweep_n`` whose value in ``header`` differs from ``run``'s."""
-    errors = [
-        f"{key}: the results file {path} was written with {header.get(key)!r}, this run has {run.get(key)!r}"
-        for key in ("mode", "master_seed", "sweep_n")
-        if header.get(key) != run.get(key)
-    ]
-    if errors:
-        raise ResumeMismatch(errors)
-
-
 def _run_trials(
     count: int,
     spec_of: Callable[[int], tuple[OrderingSpec, int]],
     template: TrainTemplate,
     corpus: Corpus,
-    master_seed: int,
     out_path,
-    header_extra: dict,
+    run: dict,
 ) -> list[TrialRecord]:
     """Train every trial index below ``count`` not already on disk, one
     :func:`train_model` call each, in index order; ``spec_of(index)`` gives
     its (ordering, sandwich_k) and is called only when the trial starts.
 
-    Each record appends to ``out_path`` as its trial finishes, so a finished
-    file is byte-stable across reruns except for timestamp metadata. A trial
-    that raises stops the run with the earlier trials on disk, so a rerun
-    resumes at that trial. A file whose header was written by another run
-    (see :func:`_check_resume`) raises before it is opened.
+    ``run`` holds the results-file header fields that name the run, among
+    them the ``master_seed`` each trial's seed derives from. Each record
+    appends to ``out_path`` as its trial finishes, so a finished file is
+    byte-stable across reruns except for timestamp metadata. A trial that
+    raises stops the run with the earlier trials on disk, so a rerun resumes
+    at that trial. A file whose header another run wrote raises
+    ``ResumeMismatch`` before it is opened (see :func:`results.open_results`).
     """
-    fh = None
-    existing: dict[int, TrialRecord] = {}
-    if out_path is not None:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        header, existing, good_end = _scan_results(out_path)
-        header_doc = {
-            "v": RESULTS_VERSION,
-            "kind": "header",
-            "tool": "sublayer-lab",
-            "tool_version": __version__,
-            "master_seed": master_seed,
-            **header_extra,
-            "meta": {"created_unix": int(time.time())},
-        }
-        if header is not None:
-            _check_resume(out_path, header, header_doc)
-        fh = open(out_path, "ab")
-        fh.truncate(good_end)
-        if header is None:
-            fh.write((json.dumps(header_doc, sort_keys=True) + "\n").encode())
-            fh.flush()
-
-    done = dict(existing)
+    fh, done = (None, {}) if out_path is None else open_results(out_path, run)
     try:
         for index in range(count):
-            if index in existing:
+            if index in done:
                 continue
             ordering, sandwich_k = spec_of(index)
-            cfg = template.instantiate(ordering, corpus.vocab_size, seed=derive_seed(master_seed, index, "train"))
-            rec, _ = train_model(cfg, corpus)
+            seed = derive_seed(run["master_seed"], index, "train")
+            rec, _ = train_model(template.instantiate(ordering, corpus.vocab_size, seed), corpus)
             rec.index, rec.sandwich_k = index, sandwich_k
             if fh is not None:
-                fh.write((json.dumps(record_to_json_dict(rec), sort_keys=True) + "\n").encode())
-                fh.flush()
+                append_record(fh, rec)
             done[index] = rec
     finally:
         if fh is not None:
@@ -620,9 +422,8 @@ def run_random_search(search: SearchConfig, corpus: Corpus) -> list[TrialRecord]
         spec_of,
         search.template,
         corpus,
-        search.master_seed,
         search.out_path,
-        header_extra={"mode": search.mode},
+        {"mode": search.mode, "master_seed": search.master_seed},
     )
 
 
@@ -648,16 +449,9 @@ def run_sandwich_sweep(
         lambda i: (sandwich(n, ks[i]), ks[i]),
         template,
         corpus,
-        master_seed,
         out_path,
-        header_extra={"mode": "sandwich_sweep", "sweep_n": n},
+        {"mode": "sandwich_sweep", "master_seed": master_seed, "sweep_n": n},
     )
-
-
-def read_results(path) -> list[TrialRecord]:
-    """Load trial records from a results file, sorted by index."""
-    _, records, _ = _scan_results(path)
-    return [records[i] for i in sorted(records)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,35 +119,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
-    # operator sugar so model code reads like the math
+    # residual connections read ``x + y``
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:

@@ -152,6 +152,35 @@ def test_a_tensor_held_across_later_ops_keeps_its_values(pool_everything):
         assert np.array_equal(kept.data, expected)
 
 
+def test_a_broadcast_add_allocates_its_sum_and_reduces_both_gradients(pool_everything):
+    """``add`` of [3, 1] and [4]: the sum's shape [3, 4] is not a's, so numpy
+    allocates it; a's gradient sums over its size-1 axis, b's over the
+    leading one, bitwise as with no pool."""
+    rng = np.random.default_rng(7)
+    a0, b0, w = rng.normal(size=(3, 1)), rng.normal(size=4), Tensor(rng.normal(size=(3, 4)))
+
+    def weighted_sum(a, b):
+        return tc.sum_all(tc.mul(tc.add(a, b), w))
+
+    def run(pooled):
+        a, b = Tensor(a0.copy()), Tensor(b0.copy())
+        with buffer_pool() if pooled else contextlib.nullcontext():
+            with Tape() as tape:
+                shape = tc.add(a, b).shape
+                loss = weighted_sum(a, b)
+            backward(loss, tape)
+            err_a = tc.finite_difference_check(lambda x: weighted_sum(x, Tensor(b0)), Tensor(a0.copy()))
+            err_b = tc.finite_difference_check(lambda x: weighted_sum(Tensor(a0), x), Tensor(b0.copy()))
+        return shape, a.grad, b.grad, err_a, err_b
+
+    shape, grad_a, grad_b, err_a, err_b = run(pooled=True)
+    _, ref_a, ref_b, _, _ = run(pooled=False)
+    assert shape == (3, 4)
+    assert grad_a.shape == (3, 1) and grad_b.shape == (4,)
+    assert np.array_equal(grad_a, ref_a) and np.array_equal(grad_b, ref_b)
+    assert err_a < 1e-6 and err_b < 1e-6
+
+
 @pytest.mark.parametrize("floor", ["default", "every-op"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_steps_after_the_first_allocate_no_buffer(monkeypatch, shape, floor):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +483,52 @@ def test_resume_with_more_trials_or_other_workers_extends_the_file(tmp_path, tin
     assert outside_meta(out) == outside_meta(clean)
 
 
+def _edit_header(out, **fields):
+    header, *records = out.read_text().splitlines(keepends=True)
+    out.write_text(json.dumps({**json.loads(header), **fields}, sort_keys=True) + "\n" + "".join(records))
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [("tool", "another-tool", "sublayer-lab"), ("v", 2, 1), ("n_s", 1, None)],
+    ids=["tool", "v", "a_key_this_run_lacks"],
+)
+def test_resume_into_a_header_differing_in_any_other_key_exits_2_unchanged(
+    tmp_path, tiny_corpus, capsys, monkeypatch, key, value, expected
+):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    _edit_header(out, **{key: value})
+    before = out.read_bytes()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trial trained into another run's file")
+
+    monkeypatch.setattr(lm_harness, "train_model", never)
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus, trials=3)))
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {key}: the results file {out} was written with {value!r}, this run has {expected!r}"
+    ]
+    assert out.read_bytes() == before
+
+
+def test_resume_ignores_the_tool_version_and_meta(tmp_path, tiny_corpus, capsys):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    _edit_header(out, tool_version="0.0.1", meta={"created_unix": 0})
+    header = out.read_text().splitlines()[0]
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus, trials=3)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == header and [json.loads(line)["index"] for line in lines[1:]] == [0, 1, 2]
+
+
 def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus, capsys, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     train_cfg = tmp_path / "t.json"
@@ -675,3 +722,68 @@ def test_distance_groups_take_any_model_id(tmp_path, capsys):
     cfg.write_text(json.dumps({"dumps": paths, "groups": groups}))
     assert main(["distance", "--config", str(cfg)]) == 0
     assert "g--h: 0" in capsys.readouterr().out
+
+
+# -- each config error alone: exit 2, one line, no output ------------------------
+
+
+def _search(**fields):
+    return lambda p: {"trials": 1, "n_s": 1, "n_f": 1, "train": train_block(), "corpus": p["corpus"],
+                      "out": p["out"], **fields}
+
+
+CONFIG_ERRORS = {
+    "unreadable_config": ("train", None, "config: cannot read "),
+    "top_level_not_an_object": ("train", lambda p: [p["corpus"]], "config: top level must be a JSON object"),
+    "required_field_missing": (
+        "train", lambda p: {"train": train_block(), "corpus": p["corpus"], "out": p["out"]},
+        "ordering: required field is missing",
+    ),
+    "count_of_2**63": ("search", _search(mode="permutation", trials=2**63), "trials: must be <= 9223372036854775807"),
+    "mode_grid": ("search", _search(mode="grid"), "mode: expected permutation|budgeted, got 'grid'"),
+    "no_sublayers": ("search", _search(mode="permutation", n_s=0, n_f=0), "n_s: permutation mode needs n_s + n_f >= 1"),
+    "budget_0": ("search", _search(mode="budgeted", budget=0), "budget: budgeted mode needs budget >= 1"),
+    "capture_missing_checkpoint": (
+        "capture", lambda p: {"checkpoint": p["missing"], "corpus": p["corpus"], "out": p["out"]},
+        "checkpoint: file not found: ",
+    ),
+    "capture_split_dev": (
+        "capture", lambda p: {"checkpoint": p["ckpt"], "corpus": p["corpus"], "split": "dev", "out": p["out"]},
+        "split: expected train|valid|test, got 'dev'",
+    ),
+    "distance_missing_dump": (
+        "distance", lambda p: {"dumps": [p["dump"], p["missing"]], "out": p["out"]}, "dumps: file not found: ",
+    ),
+    "analyze_halves_missing_records": (
+        "analyze-halves", lambda p: {"records": p["missing"], "out": p["out"]}, "records: file not found: ",
+    ),
+    "report_missing_records": (
+        "report", lambda p: {"records": p["missing"], "out_dir": p["out"]}, "records: file not found: ",
+    ),
+    "report_unknown_format": (
+        "report", lambda p: {"records": p["records"], "formats": ["pdf"], "out_dir": p["out"]},
+        "formats: unknown format 'pdf'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_a_lone_config_error_exits_2_with_one_line_and_no_output(tmp_path, tiny_corpus, capsys, case):
+    command, doc, message = CONFIG_ERRORS[case]
+    p = {name: str(tmp_path / name) for name in ("ckpt", "dump", "records", "missing", "out")}
+    p["corpus"] = str(tiny_corpus)
+    save_checkpoint(build_model(ModelConfig(d=8, heads=2, vocab=5, context=4, ordering=parse_ordering("sf")), 0), p["ckpt"])
+    attn_analysis.save_dump(attn_analysis.AttentionDump("a", "sf", 1, 2, np.full((1, 1, 2, 2), 0.5)), p["dump"])
+    Path(p["records"]).write_text(json.dumps({"v": 1, "kind": "header"}) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    if doc is None:
+        cfg_path = tmp_path / "missing"
+    else:
+        cfg_path.write_text(json.dumps(doc(p)))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before

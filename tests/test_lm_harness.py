@@ -211,6 +211,29 @@ def test_final_evaluation_runs_after_the_optimizer_is_freed(monkeypatch):
 # -- train ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", 0, "steps must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("eval_interval", 0, "eval_interval must be >= 1, got 0"),
+        ("context", 0, r"context 0 outside \[1, model.context=8\]"),
+        ("context", 9, r"context 9 outside \[1, model.context=8\]"),
+    ],
+)
+def test_train_config_rejects_a_field_out_of_range(field, value, message):
+    model = ModelConfig(d=8, heads=2, vocab=5, context=8, ordering=parse_ordering("sf"))
+    with pytest.raises(ValueError, match=message):
+        lm.TrainConfig(**{"model": model, "steps": 1, "batch_size": 1, "context": 8, field: value})
+
+
+def test_train_model_rejects_a_train_split_shorter_than_one_window():
+    corpus = lm.load_corpus_text("abcdefghij", (0.5, 0.25, 0.25))  # 5 train characters
+    cfg = tiny_template(context=5).instantiate(parse_ordering("sf"), corpus.vocab_size, seed=0)
+    with pytest.raises(ValueError, match="train split shorter than one context window"):
+        lm.train_model(cfg, corpus)
+
+
 def test_train_with_dropout_is_deterministic_and_distinct():
     corpus = lm.load_corpus_text(TINY_TEXT)
     template = tiny_template(steps=30, dropout=0.2)
@@ -296,6 +319,25 @@ def test_run_random_search_budgeted(tmp_path):
     )
     for rec in lm.run_random_search(search, corpus):
         assert total_units(parse_ordering(rec.ordering)) == 12
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(mode="grid"), "run_random_search mode must be permutation|budgeted, got 'grid'"),
+        (dict(trials=0), "trials must be >= 1"),
+    ],
+    ids=["mode_grid", "no_trials"],
+)
+def test_run_random_search_rejects_a_bad_mode_or_trial_count(tmp_path, change, message):
+    out = tmp_path / "r.jsonl"
+    search = lm.SearchConfig(
+        **{"mode": "permutation", "template": tiny_template(), "master_seed": 0, "out_path": str(out),
+           "trials": 1, "n_s": 1, "n_f": 1, **change}
+    )
+    with pytest.raises(ValueError, match=message):
+        lm.run_random_search(search, lm.load_corpus_text(TINY_TEXT))
+    assert not out.exists()
 
 
 def test_search_resume_skips_completed(tmp_path):

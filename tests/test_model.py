@@ -243,6 +243,17 @@ def test_forward_shapes_and_token_validation():
         forward(m, np.arange(9))  # longer than context
 
 
+def test_forward_rejects_tokens_of_three_dimensions():
+    m = build_model(small_config("sf"), 0)
+    with pytest.raises(ValueError, match=r"tokens must be 1-d or 2-d, got shape \(1, 2, 3\)"):
+        forward(m, np.zeros((1, 2, 3), dtype=np.int64))
+
+
+def test_config_rejects_a_dropout_of_one():
+    with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\), got 1.0"):
+        small_config(dropout=1.0)
+
+
 def test_forward_causality_probe():
     for text in ("sfsf", "ssff", "fsfs"):
         m = build_model(small_config(text), 20)

@@ -153,6 +153,30 @@ def test_dump_claiming_a_huge_shape_is_rejected_before_allocating(valid_files, s
         aa.load_dump(scratch)
 
 
+def test_checkpoint_of_another_version_or_activation_is_rejected(valid_files, scratch):
+    ckpt = valid_files["checkpoint"]
+    scratch.write_bytes(ckpt[:4] + bytes([2]) + ckpt[5:])  # the version byte
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        load_checkpoint(scratch)
+    hlen = struct.unpack("<I", ckpt[5:9])[0]
+    raw = json.dumps({**json.loads(ckpt[9 : 9 + hlen]), "activation": "gelu"}).encode()
+    scratch.write_bytes(ckpt[:5] + struct.pack("<I", len(raw)) + raw + ckpt[9 + hlen :])
+    with pytest.raises(ValueError, match="unsupported activation 'gelu'"):
+        load_checkpoint(scratch)
+
+
+def test_dump_of_another_version_or_off_unit_mass_is_rejected(valid_files, scratch):
+    header, first, *rest = valid_files["dump"].decode().splitlines()
+    scratch.write_text("\n".join([json.dumps({**json.loads(header), "v": 2}), first, *rest]) + "\n")
+    with pytest.raises(ValueError, match="unsupported dump version 2"):
+        aa.load_dump(scratch)
+    doc = json.loads(first)
+    doc["p"][0] += 1e-6
+    scratch.write_text("\n".join([header, json.dumps(doc), *rest]) + "\n")
+    with pytest.raises(ValueError, match="rows deviate from unit mass by 1e-06"):
+        aa.load_dump(scratch)
+
+
 def test_only_the_json_module_parses_json():
     """Every reader parses through ``sublayer_lab._json``, so one module
     decides how a bad document fails."""
