@@ -206,9 +206,10 @@ def load_dump(path) -> AttentionDump:
     )
 
 
-def emd_1d(p, q, tol: float = 1e-6) -> float:
+def emd_1d(p, q) -> float:
     """1-Wasserstein distance between same-length distributions on the integer
-    line with unit ground spacing: sum_i |CDF_p(i) - CDF_q(i)|.
+    line with unit ground spacing: sum_i |CDF_p(i) - CDF_q(i)|. Each must sum
+    to 1 within 1e-6.
 
     Computed as written, from the difference of the two cumulative sums,
     which can differ from the cumulative sum of ``p - q`` in the last bits."""
@@ -216,7 +217,7 @@ def emd_1d(p, q, tol: float = 1e-6) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"emd_1d needs two same-length vectors, got {p.shape}, {q.shape}")
-    if abs(p.sum() - 1.0) > tol or abs(q.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > 1e-6 or abs(q.sum() - 1.0) > 1e-6:
         raise ValueError("emd_1d inputs must each sum to 1 within tolerance")
     return float(np.abs(np.cumsum(p) - np.cumsum(q)).sum())
 

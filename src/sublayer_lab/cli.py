@@ -11,8 +11,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import NamedTuple, get_args, get_origin
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from . import __version__, arch_dsl, attn_analysis, lm_harness, results
 from ._json import loads, typed
@@ -49,15 +50,13 @@ class Field(NamedTuple):
     minimum: int | None = None
 
 
-_T = lm_harness.TrainTemplate  # the train block's defaults live there
+# The train block is TrainTemplate's fields: an int's least value is 1 unless
+# the field's metadata gives a "minimum".
+_TRAIN_KINDS = get_type_hints(lm_harness.TrainTemplate)
 TRAIN = {
-    **dict.fromkeys(("d", "heads", "steps", "batch_size", "context"), Field(int, minimum=1)),
-    "lr": Field(float, _T.lr),
-    "eval_interval": Field(int, _T.eval_interval, 1),
-    "ffn_inner": Field(int, _T.ffn_inner, 0),
-    "tie_embeddings": Field(bool, _T.tie_embeddings),
-    "pre_norm": Field(bool, _T.pre_norm),
-    "dropout": Field(float, _T.dropout),
+    f.name: Field(_TRAIN_KINDS[f.name], ... if f.default is MISSING else f.default,
+                  f.metadata.get("minimum", 1) if _TRAIN_KINDS[f.name] is int else None)
+    for f in fields(lm_harness.TrainTemplate)
 }
 CORPUS = {"corpus": Field(str), "split_fractions": Field(list[float], [0.8, 0.1, 0.1])}
 TRIALS = {"master_seed": Field(int, 0), "workers": Field(int, 1, 1), "out": Field(str), "train": TRAIN, **CORPUS}
@@ -77,7 +76,7 @@ TABLES = {
         **dict.fromkeys(("n_s", "n_f", "budget"), Field(int, 0, 0)),
         **TRIALS,
     },
-    "sweep": {"n": Field(int, minimum=1), "k_values": Field(list[int], None), **TRIALS},
+    "sweep": {"n": Field(int, minimum=1), "k_values": Field(list[int], None, 1), **TRIALS},
     "capture": {
         "checkpoint": Field(str), "split": Field(str, "valid"), "offset": Field(int, 0, 0),
         "length": Field(int, 0, 0), "model_id": Field(str, ""), "out": Field(str), **CORPUS,
@@ -461,6 +460,8 @@ def _cmd_analyze_halves(args) -> int:
     except ValueError:
         errors.append(f"metric_field: {field!r} is not a numeric field of the records")
     _raise_if(errors)
+    if len(pairs) < 2:
+        raise ConfigErrors([f"records: analyze-halves needs at least 2 records, {records_path} holds {len(pairs)}"])
 
     report = lm_harness.analyze_halves(pairs, threshold)
     print(f"threshold: {report.threshold}")
@@ -492,7 +493,7 @@ def _cmd_report(args) -> int:
 
     records = results.read_results(records_path)
     if not records:
-        raise ValueError(f"no trial records in {records_path}")
+        raise ConfigErrors([f"records: no trial records in {records_path}"])
     written = lm_harness.write_report(records, formats, cfg["out_dir"])
     for fmt, path in written.items():
         print(f"{fmt}: {path}")

@@ -18,6 +18,7 @@ leaves the pool, and frees Adam's state, before its final evaluation.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -214,7 +215,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTemplate:
-    """Everything a search trial shares; ordering and seed are filled per trial."""
+    """Everything a search trial shares; ordering and seed are filled per trial.
+
+    Its fields are the config's ``train`` block (``cli.TRAIN``): an int's least
+    value is 1 unless its metadata gives a ``minimum``.
+    """
 
     d: int
     heads: int
@@ -223,7 +228,7 @@ class TrainTemplate:
     context: int
     lr: float = TrainConfig.lr
     eval_interval: int = TrainConfig.eval_interval
-    ffn_inner: int = ModelConfig.ffn_inner
+    ffn_inner: int = field(default=ModelConfig.ffn_inner, metadata={"minimum": 0})  # 0 means 4 * d
     tie_embeddings: bool = ModelConfig.tie_embeddings
     pre_norm: bool = ModelConfig.pre_norm
     dropout: float = ModelConfig.dropout
@@ -317,26 +322,19 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
         raise ValueError("evaluation stream must hold at least 2 characters")
     widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * context, cfg.vocab)
     step = max(1, EVAL_FLOATS // (context * widest))
-    full: list[np.ndarray] = []
-    tail: list[np.ndarray] = []
-    start = 0
-    while start + 1 < ids.size:
-        window = ids[start : start + context + 1]
-        (full if window.size == context + 1 else tail).append(window)
-        start += context
+    n_full = (ids.size - 1) // context
+    full = ids[np.arange(n_full)[:, None] * context + np.arange(context + 1)]
+    chunks = [full[off : off + 64] for off in range(0, n_full, 64)]
+    if n_full * context + 1 < ids.size:
+        chunks.append(ids[None, n_full * context :])
     total_nll = 0.0
     total_chars = 0
     with no_grad():
-        for group in (full, tail):
-            for off in range(0, len(group), 64):
-                chunk = group[off : off + 64]
-                if not chunk:
-                    continue
-                w = np.stack(chunk)
-                parts = [forward(model, w[i : i + step, :-1]).data for i in range(0, len(w), step)]
-                logits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                total_nll += _nll_sum(logits, w[:, 1:])
-                total_chars += w[:, 1:].size
+        for w in chunks:
+            parts = [forward(model, w[i : i + step, :-1]).data for i in range(0, len(w), step)]
+            logits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            total_nll += _nll_sum(logits, w[:, 1:])
+            total_chars += w[:, 1:].size
     return total_nll / total_chars
 
 
@@ -379,14 +377,21 @@ def _run_trials(
     its (ordering, sandwich_k) and is called only when the trial starts.
 
     ``run`` holds the results-file header fields that name the run, among
-    them the ``master_seed`` each trial's seed derives from. Each record
+    them the ``master_seed`` each trial's seed derives from; the header adds
+    ``train``, the template's fields, and ``corpus_sha256``, the SHA-256 of
+    the JSON list of the corpus's three split texts. Each record
     appends to ``out_path`` as its trial finishes, so a finished file is
     byte-stable across reruns except for timestamp metadata. A trial that
     raises stops the run with the earlier trials on disk, so a rerun resumes
     at that trial. A file whose header another run wrote raises
     ``ResumeMismatch`` before it is opened (see :func:`results.open_results`).
     """
-    fh, done = (None, {}) if out_path is None else open_results(out_path, run)
+    fh, done = None, {}
+    if out_path is not None:
+        splits = json.dumps([corpus.train_text, corpus.valid_text, corpus.test_text]).encode()
+        train = {k: v.item() if isinstance(v, np.generic) else v for k, v in vars(template).items()}
+        run = {**run, "train": train, "corpus_sha256": hashlib.sha256(splits).hexdigest()}
+        fh, done = open_results(out_path, run)
     try:
         for index in range(count):
             if index in done:
@@ -524,8 +529,6 @@ def analyze_halves(
 # ---------------------------------------------------------------------------
 # report rendering
 
-REPORT_FORMATS = ("csv", "markdown", "svg")
-
 _CSV_COLUMNS = (
     "index",
     "ordering",
@@ -627,19 +630,27 @@ def render_svg(records: Sequence[TrialRecord]) -> str:
     return "\n".join(parts) + "\n"
 
 
+# each report format's file name and renderer
+_REPORTS = {
+    "csv": ("report.csv", render_csv),
+    "markdown": ("report.md", render_markdown),
+    "svg": ("report.svg", render_svg),
+}
+REPORT_FORMATS = tuple(_REPORTS)
+
+
 def write_report(records: Sequence[TrialRecord], formats: Iterable[str], out_dir) -> dict:
     """Render the requested formats into ``out_dir`` as report.{csv,md,svg}."""
     if not records:
         raise ValueError("write_report needs at least 1 record")
-    renderers = {"csv": render_csv, "markdown": render_markdown, "svg": render_svg}
-    names = {"csv": "report.csv", "markdown": "report.md", "svg": "report.svg"}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for fmt in formats:
-        if fmt not in renderers:
+        if fmt not in _REPORTS:
             raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
-        path = out_dir / names[fmt]
-        path.write_text(renderers[fmt](records), encoding="utf-8")
+        name, render = _REPORTS[fmt]
+        path = out_dir / name
+        path.write_text(render(records), encoding="utf-8")
         written[fmt] = path
     return written

@@ -205,13 +205,21 @@ class ResumeMismatch(ValueError):
 def _check_resume(path, header: dict, run: dict) -> None:
     """Raise :class:`ResumeMismatch` naming each key whose value differs
     between the file's ``header`` and the header ``run`` this run would
-    write, in ``run``'s key order and then the file's. ``meta`` and
-    ``tool_version`` are not compared."""
-    errors = [
-        f"{key}: the results file {path} was written with {header.get(key)!r}, this run has {run.get(key)!r}"
-        for key in dict.fromkeys([*run, *header])
-        if key not in ("meta", "tool_version") and header.get(key) != run.get(key)
-    ]
+    write, in ``run``'s key order and then the file's; where both values are
+    objects, each differing key inside them is named, as ``train.d``.
+    ``meta`` and ``tool_version`` are not compared."""
+
+    def differences(old: dict, new: dict, prefix: str):
+        for key in dict.fromkeys([*new, *old]):
+            was, has = old.get(key), new.get(key)
+            if key in ("meta", "tool_version") or was == has:
+                continue
+            if type(was) is dict and type(has) is dict:
+                yield from differences(was, has, f"{prefix}{key}.")
+            else:
+                yield f"{prefix}{key}: the results file {path} was written with {was!r}, this run has {has!r}"
+
+    errors = list(differences(header, run, ""))
     if errors:
         raise ResumeMismatch(errors)
 

@@ -150,42 +150,34 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _active().append(self)
+        _LOCAL.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _active().pop()
+        _LOCAL.tapes.pop()
         return False
 
 
 class _ThreadState(threading.local):
-    pool: "_Pool | None" = None  # the buffer pool this thread entered, if any
+    """What each thread has entered; ``threading.local`` runs ``__init__``
+    once per thread."""
+
+    def __init__(self):
+        self.tapes: list[Tape | None] = []  # innermost last; None is a no_grad
+        self.pool: _Pool | None = None  # the buffer pool entered, if any
 
 
 _LOCAL = _ThreadState()
 
 
-def _active() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def _current_tape() -> Tape | None:
-    stack = _active()
-    return stack[-1] if stack else None
-
-
 @contextmanager
 def no_grad():
     """Disable recording even if a tape is open (cheap inference/eval path)."""
-    _active().append(None)
+    _LOCAL.tapes.append(None)
     try:
         yield
     finally:
-        _active().pop()
+        _LOCAL.tapes.pop()
 
 
 class _Pool:
@@ -265,7 +257,8 @@ def _empty(pool: _Pool | None, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
-    tape = _current_tape()
+    tapes = _LOCAL.tapes
+    tape = tapes[-1] if tapes else None
     if tape is not None:
         out._tape = tape._ref
         tape.nodes.append(_Node(out, inputs, backward_fn))
@@ -470,7 +463,11 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+# added to the variance before its inverse square root
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Means are ``np.add.reduce`` then a division by the axis length, the same
@@ -484,7 +481,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = np.multiply(xhat, xhat, out=pool and pool.take(x.data.shape))  # the squares, then output
     ivar = np.add.reduce(y, axis=-1, keepdims=True)  # the variance, then its inverse root
     ivar /= n
-    ivar += eps
+    ivar += LAYER_NORM_EPS
     np.sqrt(ivar, out=ivar)
     np.divide(1.0, ivar, out=ivar)
     xhat *= ivar
@@ -768,6 +765,7 @@ def tiled_buffer(tensors: Sequence[Tensor]) -> np.ndarray | None:
 
 class OptimizerState:
     """Adam moments plus hyperparameters; buffers are allocated on the first step.
+    ``betas`` and ``eps`` are fixed at Adam's usual values.
 
     The parameters, ``m`` and ``v`` each live in one flat float64 buffer.
     The first step adopts the buffer the parameters tile, or packs them into
@@ -775,10 +773,11 @@ class OptimizerState:
     again.
     """
 
-    def __init__(self, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8):
+    betas = (0.9, 0.999)
+    eps = 1e-8
+
+    def __init__(self, lr: float = 3e-4):
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -842,18 +841,15 @@ def adam_step(params: Sequence[Tensor], state: OptimizerState) -> None:
 # gradient checking
 
 
-def finite_difference_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-5,
-    floor: float = 1e-8,
-) -> float:
+def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare reverse-mode grad of scalar ``f(x)`` to central differences.
 
     Returns max over coordinates of |analytic - numeric| / (|analytic| +
-    |numeric| + floor). ``f`` is re-evaluated 2 per coordinate with recording
-    disabled, so it must be a pure function of ``x.data``.
+    |numeric| + 1e-8), the numeric gradient taken with a step of 1e-5 either
+    side. ``f`` is re-evaluated 2 per coordinate with recording disabled, so
+    it must be a pure function of ``x.data``.
     """
+    eps = 1e-5
     x.grad = None
     with Tape() as tape:
         y = f(x)
@@ -876,5 +872,5 @@ def finite_difference_check(
             lo = float(f(x).data)
             flat[i] = orig
             numeric[i] = (hi - lo) / (2.0 * eps)
-    denom = np.abs(analytic) + np.abs(numeric) + floor
+    denom = np.abs(analytic) + np.abs(numeric) + 1e-8
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0

@@ -529,6 +529,104 @@ def test_resume_ignores_the_tool_version_and_meta(tmp_path, tiny_corpus, capsys)
     assert lines[0] == header and [json.loads(line)["index"] for line in lines[1:]] == [0, 1, 2]
 
 
+def _rerun_refused(monkeypatch, capsys, cfg_path, out) -> list[str]:
+    """Rerun the search at ``cfg_path`` into ``out``: it must exit 2, train
+    nothing and leave ``out`` byte-unchanged. Returns the fields it names."""
+    before = out.read_bytes()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trial trained into another run's file")
+
+    monkeypatch.setattr(lm_harness, "train_model", never)
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("config error: ") and f"results file {out} was written with" in line for line in err)
+    assert out.read_bytes() == before
+    return [line.split(": ")[1] for line in err]
+
+
+def test_resume_under_another_train_block_exits_2_naming_each_train_field(tmp_path, tiny_corpus, capsys, monkeypatch):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    rerun = _search_doc(out, tiny_corpus, trials=3, train={**train_block(steps=5), "d": 8})
+    cfg_path.write_text(json.dumps(rerun))
+    assert _rerun_refused(monkeypatch, capsys, cfg_path, out) == ["train.d", "train.steps"]
+
+
+def test_resume_on_a_corpus_one_character_apart_exits_2_naming_its_digest(tmp_path, tiny_corpus, capsys, monkeypatch):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    other = tmp_path / "other.txt"
+    text = tiny_corpus.read_text()
+    other.write_text(text[:-2] + ("x" if text[-2] != "x" else "y") + text[-1])
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus, trials=3, corpus=str(other))))
+    assert _rerun_refused(monkeypatch, capsys, cfg_path, out) == ["corpus_sha256"]
+
+
+def test_resume_into_a_header_without_the_train_block_and_corpus_digest_exits_2(
+    tmp_path, tiny_corpus, capsys, monkeypatch
+):
+    out = tmp_path / "results.jsonl"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus)))
+    assert main(["search", "--config", str(cfg_path)]) == 0
+    header, *records = out.read_text().splitlines(keepends=True)
+    doc = json.loads(header)
+    assert doc["train"] == train_block(steps=2) | {
+        "ffn_inner": 0, "tie_embeddings": True, "pre_norm": True, "dropout": 0.0,
+    }
+    corpus = lm_harness.load_corpus(tiny_corpus)
+    splits = json.dumps([corpus.train_text, corpus.valid_text, corpus.test_text]).encode()
+    assert doc["corpus_sha256"] == hashlib.sha256(splits).hexdigest()
+    del doc["train"], doc["corpus_sha256"]  # as a header written before it named them
+    out.write_text(json.dumps(doc, sort_keys=True) + "\n" + "".join(records))
+    cfg_path.write_text(json.dumps(_search_doc(out, tiny_corpus, trials=3)))
+    assert _rerun_refused(monkeypatch, capsys, cfg_path, out) == ["train", "corpus_sha256"]
+
+
+def _results_with(path, trials: int) -> None:
+    """A results file holding a header and ``trials`` trial lines."""
+    lines = [json.dumps({"v": 1, "kind": "header"})]
+    for i in range(trials):
+        rec = lm_harness.TrialRecord.build("sfsf", -1, i, [(1, 2.0)], 1.5 + i, 10, 0.1, index=i)
+        lines.append(json.dumps(lm_harness.record_to_json_dict(rec)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("sweep", lambda p: _sweep_doc(p["out"], p["corpus"], k_values=[]), "k_values: length must be >= 1, got 0"),
+        ("report", lambda p: {"records": p["records0"], "out_dir": p["out"]},
+         "records: no trial records in {records0}"),
+        ("analyze-halves", lambda p: {"records": p["records0"], "threshold": 5.0, "out": p["out"]},
+         "records: analyze-halves needs at least 2 records, {records0} holds 0"),
+        ("analyze-halves", lambda p: {"records": p["records1"], "threshold": 5.0, "out": p["out"]},
+         "records: analyze-halves needs at least 2 records, {records1} holds 1"),
+    ],
+    ids=["sweep_no_k_values", "report_no_trials", "analyze_halves_no_trials", "analyze_halves_one_trial"],
+)
+def test_a_config_that_names_nothing_to_do_exits_2_with_one_line_and_no_output(
+    tmp_path, tiny_corpus, capsys, command, doc, message
+):
+    p = {name: str(tmp_path / name) for name in ("records0", "records1", "out")}
+    p["corpus"] = str(tiny_corpus)
+    _results_with(tmp_path / "records0", 0)
+    _results_with(tmp_path / "records1", 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc(p)))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"config error: {message.format(**p)}"]
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
+
+
 def test_capture_bad_window_exits_2_before_the_model_runs(tmp_path, tiny_corpus, capsys, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     train_cfg = tmp_path / "t.json"

@@ -3,6 +3,7 @@ examples: each config-driven command exits 0 or 2 (never 1), an exit 2 names
 what changed, and every documented example passes validation."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -194,3 +195,14 @@ def test_readme_lists_every_config_field():
             assert f"`{key}`" in section, (command, key)
             for sub in spec if isinstance(spec, dict) else ():
                 assert f"`{sub}`" in section, (command, key, sub)
+
+
+def test_the_train_table_is_the_train_templates_fields():
+    fields = dataclasses.fields(lm_harness.TrainTemplate)
+    assert list(cli.TRAIN) == [f.name for f in fields]
+    for f in fields:
+        assert cli.TRAIN[f.name].default == (... if f.default is dataclasses.MISSING else f.default)
+    assert {name: spec.minimum for name, spec in cli.TRAIN.items() if spec.kind is int} == {
+        "d": 1, "heads": 1, "steps": 1, "batch_size": 1, "context": 1, "eval_interval": 1, "ffn_inner": 0,
+    }
+    assert all(spec.minimum is None for spec in cli.TRAIN.values() if spec.kind is not int)

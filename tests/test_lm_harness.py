@@ -861,3 +861,20 @@ def test_sweep_rejects_non_integer_coefficients():
     for k in (True, False, 1.0, "1"):
         with pytest.raises(ValueError, match="must be an int"):
             lm.run_sandwich_sweep(3, [0, k], tiny_template(), corpus)
+
+
+def test_a_template_of_numpy_sizes_writes_and_resumes_the_same_header(tmp_path):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    sizes = {"d": 16, "heads": 2, "steps": 2, "batch_size": 4, "context": 16}
+    paths = []
+    for name, template in (
+        ("plain.jsonl", tiny_template(**sizes)),
+        ("numpy.jsonl", tiny_template(**{k: np.int64(v) for k, v in sizes.items()}, dropout=np.float64(0.0))),
+    ):
+        paths.append(tmp_path / name)
+        for trials in (1, 2):
+            lm.run_random_search(lm.SearchConfig("permutation", template, 3, str(paths[-1]), trials, 1, 1), corpus)
+    headers = [json.loads(p.read_text().splitlines()[0]) for p in paths]
+    assert headers[0]["train"] == headers[1]["train"] == vars(tiny_template(**sizes))
+    assert headers[0]["corpus_sha256"] == headers[1]["corpus_sha256"]
+    assert [len(p.read_text().splitlines()) for p in paths] == [3, 3]

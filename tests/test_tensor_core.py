@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -974,3 +976,32 @@ def test_backward_peak_memory_stays_near_what_forward_holds():
         tracemalloc.stop()
     # a backward that keeps the tape alive until it ends peaks at about 1.54x
     assert peak <= 1.3 * held, (peak, held)
+
+
+# -- fixed constants and per-thread state -------------------------------------
+
+
+def test_the_numerical_constants_are_fixed_not_parameters():
+    state = OptimizerState()
+    assert state.betas == (0.9, 0.999) and state.eps == 1e-8 and tc.LAYER_NORM_EPS == 1e-5
+    for fn, names in (
+        (OptimizerState, ["lr"]),
+        (layer_norm, ["x", "gain", "bias"]),
+        (finite_difference_check, ["f", "x"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == names
+
+
+def test_a_tape_open_in_one_thread_does_not_record_another_threads_ops():
+    seen = []
+
+    def other_thread():
+        y = mul(Tensor([2.0]), Tensor([3.0]))
+        seen.append((list(tc._LOCAL.tapes), tc._LOCAL.pool, y.tape))
+
+    with Tape() as tape:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join()
+        assert tc._LOCAL.tapes == [tape]
+    assert seen == [([], None, None)] and tape.nodes == [] and tc._LOCAL.tapes == []
