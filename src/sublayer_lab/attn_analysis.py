@@ -302,9 +302,9 @@ def hungarian(cost) -> tuple[tuple[int, ...], float]:
     """Minimum-cost perfect matching on a square cost matrix.
 
     Returns (matching, total) where matching[i] is the column assigned to row
-    i. Among cost-equal optima the lexicographically smallest matching wins
-    (row 0's column minimized first, then row 1's, ...). Totals are fsum'd
-    over the selected entries, so they are independent of summation order.
+    i: one :func:`_assignment_min` solve, whose first-index tie-breaks pick
+    the same optimum among cost-equal ones on every call. The total is fsum'd
+    over the selected entries, so it is independent of summation order.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1] or cost.shape[0] == 0:
@@ -313,29 +313,8 @@ def hungarian(cost) -> tuple[tuple[int, ...], float]:
         raise ValueError("cost matrix must be finite")
     if (cost < 0).any():
         raise ValueError("cost matrix must be non-negative")
-    n = cost.shape[0]
-    best = _assignment_min(cost[None])[1][0]
-    # lexicographic refinement: fix rows in order to the lowest column index
-    # that still admits an optimal completion, solving every candidate's
-    # completion of a row in one call
-    tol = 1e-12 * max(1.0, abs(best))
-    chosen: list[int] = []
-    free_cols = list(range(n))
-    remaining_target = best
-    for i in range(n):
-        rest_cols = [free_cols[:pos] + free_cols[pos + 1 :] for pos in range(len(free_cols))]
-        rest = cost[np.arange(i + 1, n)[None, :, None], np.array(rest_cols, dtype=np.intp)[:, None, :]]
-        _, subs = _assignment_min(rest)
-        for c, cols, sub in zip(free_cols, rest_cols, subs):
-            if cost[i, c] + sub <= remaining_target + tol:
-                chosen.append(c)
-                free_cols = cols
-                remaining_target -= cost[i, c]
-                break
-        else:  # unreachable unless float drift exceeds tol
-            raise RuntimeError("assignment refinement failed to find an optimal column")
-    total = math.fsum(cost[i, c] for i, c in enumerate(chosen))
-    return tuple(chosen), total
+    match, totals = _assignment_min(cost[None])
+    return tuple(match[0].tolist()), totals[0]
 
 
 @dataclass

@@ -59,6 +59,7 @@ TRAIN = {
     for f in fields(lm_harness.TrainTemplate)
 }
 CORPUS = {"corpus": Field(str), "split_fractions": Field(list[float], [0.8, 0.1, 0.1])}
+# ``workers`` is checked and then read by nothing: configs that send it keep working
 TRIALS = {"master_seed": Field(int, 0), "workers": Field(int, 1, 1), "out": Field(str), "train": TRAIN, **CORPUS}
 TABLES = {
     "train": {
@@ -163,6 +164,25 @@ def _config(path, command: str) -> tuple[dict, list[str]]:
 def _raise_if(errors: list[str]) -> None:
     if errors:  # a check run per list entry may fail the same way twice
         raise ConfigErrors(list(dict.fromkeys(errors)))
+
+
+def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
+    """The directories that the outputs ``cfg`` names under ``keys`` are
+    written into, after adding to ``errors`` each output that names a
+    directory (or, for ``out_dir``, which is one, a file). A handler creates
+    them with :func:`_make_dirs` once every check has passed."""
+    dirs = []
+    for key in (k for k in keys if cfg[k]):
+        path, is_dir = Path(cfg[key]), key == "out_dir"
+        if path.exists() and path.is_dir() != is_dir:
+            errors.append(f"{key}: names {'a file' if is_dir else 'a directory'}: {cfg[key]}")
+        dirs.append(path if is_dir else path.parent)
+    return dirs
+
+
+def _make_dirs(dirs: list[Path]) -> None:
+    for path in dirs:
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def _resolve_corpus(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
@@ -288,19 +308,15 @@ def _cmd_train(args) -> int:
         except OrderingError as e:
             errors.append(f"ordering: {e}")
     corpus = _training_inputs(cfg, errors)
-    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
-    for field, path in (("out", out), ("checkpoint_out", checkpoint_out)):
-        if path and Path(path).is_dir():
-            errors.append(f"{field}: names a directory: {path}")
+    dirs = _output_dirs(cfg, errors, "out", "checkpoint_out")
     _raise_if(errors)
-    for path in (checkpoint_out, out):
-        if path:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(dirs)
 
     seed = cfg["seed"] if args.seed is None else args.seed
     template = lm_harness.TrainTemplate(**cfg["train"])
     record, model = lm_harness.train_model(template.instantiate(ordering, corpus.vocab_size, seed), corpus)
     record.sandwich_k = cfg["sandwich_k"]
+    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
     if checkpoint_out:
         save_checkpoint(model, checkpoint_out)
     if out:
@@ -324,12 +340,14 @@ def _cmd_search(args) -> int:
     if mode == "budgeted" and cfg["budget"] < 1:
         errors.append("budget: budgeted mode needs budget >= 1")
     corpus = _training_inputs(cfg, errors)
+    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
+    _make_dirs(dirs)
 
     search = lm_harness.SearchConfig(
         mode=mode, template=lm_harness.TrainTemplate(**cfg["train"]), out_path=cfg["out"],
         master_seed=cfg["master_seed"] if args.seed is None else args.seed,
-        **{k: cfg[k] for k in ("trials", "n_s", "n_f", "budget", "workers")},
+        **{k: cfg[k] for k in ("trials", "n_s", "n_f", "budget")},
     )
     records = lm_harness.run_random_search(search, corpus)
     print(f"{len(records)} trials complete -> {search.out_path}")
@@ -343,13 +361,14 @@ def _cmd_sweep(args) -> int:
         if not 0 <= k <= n - 1:
             errors.append(f"k_values: k={k} out of range [0, {n - 1}] for n={n}")
     corpus = _training_inputs(cfg, errors)
+    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
+    _make_dirs(dirs)
 
     records = lm_harness.run_sandwich_sweep(
         n, range(n) if k_values is None else k_values,
         lm_harness.TrainTemplate(**cfg["train"]), corpus, out_path=cfg["out"],
         master_seed=cfg["master_seed"] if args.seed is None else args.seed,
-        workers=cfg["workers"],
     )
     print(f"{len(records)} sweep trials complete -> {cfg['out']}")
     return 0
@@ -373,10 +392,13 @@ def _cmd_capture(args) -> int:
             errors.append(
                 f"length: window [{offset}, {offset + length}) runs past the {split} split's length {stream.size}"
             )
+    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
 
     model = load_checkpoint(ckpt)
-    context, vocab = model.config.context, model.config.vocab
+    context, vocab, ordering = model.config.context, model.config.vocab, model.config.ordering
+    if not ordering.count(arch_dsl.SublayerKind.SELF_ATTENTION):
+        errors.append(f"checkpoint: its ordering {str(ordering)!r} has no self-attention sublayer to capture")
     if vocab != corpus.vocab_size:
         errors.append(
             f"corpus: its vocabulary (the train split's charset under split_fractions, plus unknown) "
@@ -385,6 +407,7 @@ def _cmd_capture(args) -> int:
     if length > context:
         errors.append(f"length: must be <= the checkpoint's context {context}, got {length}")
     _raise_if(errors)
+    _make_dirs(dirs)
     length = length or min(context, stream.size - offset)
     tokens = stream[offset : offset + length]
     dump = attn_analysis.capture(model, tokens, model_id=cfg["model_id"] or Path(ckpt).stem)
@@ -402,6 +425,7 @@ def _cmd_distance(args) -> int:
     for mid, label in (groups or {}).items():
         if type(label) is not str:
             errors.append(f"groups: label of {mid!r} must be a string, got {label!r}")
+    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
 
     dumps = [attn_analysis.load_dump(p) for p in paths]
@@ -412,6 +436,7 @@ def _cmd_distance(args) -> int:
         if groups and mid not in groups
     ]
     _raise_if(errors)
+    _make_dirs(dirs)
     table = attn_analysis.distance_matrix(dumps)
     print("model_id\t" + "\t".join(table.model_ids))
     for mid, row in zip(table.model_ids, table.grand_means):
@@ -459,9 +484,11 @@ def _cmd_analyze_halves(args) -> int:
         pairs = [(ordering, typed(x, float, "metric_field")) for ordering, x in rows]
     except ValueError:
         errors.append(f"metric_field: {field!r} is not a numeric field of the records")
+    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
     if len(pairs) < 2:
         raise ConfigErrors([f"records: analyze-halves needs at least 2 records, {records_path} holds {len(pairs)}"])
+    _make_dirs(dirs)
 
     report = lm_harness.analyze_halves(pairs, threshold)
     print(f"threshold: {report.threshold}")
@@ -489,11 +516,13 @@ def _cmd_report(args) -> int:
     for f in formats or ():
         if f not in lm_harness.REPORT_FORMATS:
             errors.append(f"formats: unknown format {f!r}")
+    dirs = _output_dirs(cfg, errors, "out_dir")
     _raise_if(errors)
 
     records = results.read_results(records_path)
     if not records:
         raise ConfigErrors([f"records: no trial records in {records_path}"])
+    _make_dirs(dirs)
     written = lm_harness.write_report(records, formats, cfg["out_dir"])
     for fmt, path in written.items():
         print(f"{fmt}: {path}")

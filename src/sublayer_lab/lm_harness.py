@@ -66,7 +66,6 @@ __all__ = [
     "TrialRecord",
     "SearchConfig",
     "derive_seed",
-    "train",
     "train_model",
     "evaluate",
     "run_random_search",
@@ -299,10 +298,6 @@ def train_model(cfg: TrainConfig, corpus: Corpus) -> tuple[TrialRecord, Transfor
     return record, model
 
 
-def train(cfg: TrainConfig, corpus: Corpus) -> TrialRecord:
-    return train_model(cfg, corpus)[0]
-
-
 def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float:
     """Average NLL (nats/char) over non-overlapping context windows.
 
@@ -361,7 +356,6 @@ class SearchConfig:
     n_s: int = 0
     n_f: int = 0
     budget: int = 0
-    workers: int = 1  # accepted, no effect: trials train one at a time
 
 
 def _run_trials(
@@ -410,7 +404,8 @@ def _run_trials(
 
 
 def run_random_search(search: SearchConfig, corpus: Corpus) -> list[TrialRecord]:
-    """Sample-and-train protocol: one record per trial, resumable by index."""
+    """Sample-and-train protocol: one record per trial, resumable by index.
+    The header names the sampler's sizes, ``n_s`` and ``n_f`` or ``budget``."""
     if search.mode not in ("permutation", "budgeted"):
         raise ValueError(f"run_random_search mode must be permutation|budgeted, got {search.mode!r}")
     if search.trials < 1:
@@ -422,13 +417,14 @@ def run_random_search(search: SearchConfig, corpus: Corpus) -> list[TrialRecord]
             return sample_permutation(search.n_s, search.n_f, arch_seed), -1
         return sample_budgeted(search.budget, arch_seed), -1
 
+    sizes = {"n_s": search.n_s, "n_f": search.n_f} if search.mode == "permutation" else {"budget": search.budget}
     return _run_trials(
         search.trials,
         spec_of,
         search.template,
         corpus,
         search.out_path,
-        {"mode": search.mode, "master_seed": search.master_seed},
+        {"mode": search.mode, "master_seed": search.master_seed, **sizes},
     )
 
 
@@ -439,10 +435,9 @@ def run_sandwich_sweep(
     corpus: Corpus,
     out_path=None,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> list[TrialRecord]:
     """One trial per sandwich coefficient, identical hyperparameters throughout.
-    ``workers`` is accepted and has no effect: trials train one at a time."""
+    The header holds the whole ``k_values`` list, so only the same list resumes."""
     ks = list(k_values)
     for k in ks:
         if not isinstance(k, int) or isinstance(k, bool):
@@ -455,7 +450,7 @@ def run_sandwich_sweep(
         template,
         corpus,
         out_path,
-        {"mode": "sandwich_sweep", "master_seed": master_seed, "sweep_n": n},
+        {"mode": "sandwich_sweep", "master_seed": master_seed, "sweep_n": n, "k_values": ks},
     )
 
 

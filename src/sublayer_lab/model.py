@@ -29,6 +29,7 @@ from ._json import loads, typed
 from .arch_dsl import OrderingSpec, SublayerKind, parse_ordering
 from .tensor_core import (
     Tensor,
+    add,
     attention,
     dropout,
     embedding,
@@ -269,7 +270,7 @@ def _residual(x, inner, p, pre_norm, drop_rate, drop_rng):
     out = inner(layer_norm(x, p.norm_gain, p.norm_bias) if pre_norm else x)
     if drop_rng is not None:
         out = dropout(out, drop_rate, drop_rng)
-    return x + out if pre_norm else layer_norm(x + out, p.norm_gain, p.norm_bias)
+    return add(x, out) if pre_norm else layer_norm(add(x, out), p.norm_gain, p.norm_bias)
 
 
 def _attention_sublayer(x, memory, p, heads, capture, pre_norm, drop_rate, drop_rng):
@@ -351,9 +352,7 @@ def forward(
         raise ValueError(f"sequence length {t} outside [1, {cfg.context}]")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise ValueError(f"token id out of range [0, {cfg.vocab})")
-    x = embedding(model.token_embedding, tokens) + slice_rows(
-        model.positional_embedding, 0, t
-    )
+    x = add(embedding(model.token_embedding, tokens), slice_rows(model.positional_embedding, 0, t))
     wiring = (cfg.pre_norm, cfg.dropout, dropout_rng)
     for kind, p in zip(cfg.ordering.kinds, model.sublayers):
         # module globals, looked up on each call: replacing one by attribute takes effect

@@ -119,10 +119,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    # residual connections read ``x + y``
-    def __add__(self, other):
-        return add(self, other)
-
 
 class _Node:
     __slots__ = ("output", "inputs", "backward_fn")

@@ -466,25 +466,6 @@ def reference_assignment_min(cost):
     return match, math.fsum(rows[i][match[i]] for i in range(n))
 
 
-def reference_hungarian(cost):
-    """``hungarian`` as one scalar solve per candidate column."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n = cost.shape[0]
-    _, best = reference_assignment_min(cost)
-    tol = 1e-12 * max(1.0, abs(best))
-    chosen, free_cols, remaining = [], list(range(n)), best
-    for i in range(n):
-        for pos, c in enumerate(free_cols):
-            rest_cols = free_cols[:pos] + free_cols[pos + 1 :]
-            sub = reference_assignment_min(cost[np.ix_(range(i + 1, n), rest_cols)])[1]
-            if cost[i, c] + sub <= remaining + tol:
-                chosen.append(c)
-                free_cols = rest_cols
-                remaining -= cost[i, c]
-                break
-    return tuple(chosen), math.fsum(cost[i, c] for i, c in enumerate(chosen))
-
-
 def cost_stack(rng, n, count):
     """``count`` matrices of side n, cycling through random, quarter-rounded
     (many ties), all-equal, half-zero and all-zero kinds."""
@@ -516,13 +497,13 @@ def test_assignment_min_of_empty_stacks():
     assert match.shape == (0, 4) and totals == []
 
 
-def test_hungarian_is_the_per_candidate_reference():
+def test_hungarian_is_one_assignment_solve():
     rng = np.random.default_rng(41)
     for trial in range(400):
         cost = cost_stack(rng, trial % 7 + 1, 5)[trial % 5]
         perm, total = aa.hungarian(cost)
-        ref_perm, ref_total = reference_hungarian(cost)
-        assert perm == ref_perm and total.hex() == ref_total.hex()
+        match, totals = aa._assignment_min(cost[None])
+        assert perm == tuple(match[0].tolist()) and total.hex() == totals[0].hex()
 
 
 @pytest.mark.parametrize("heads", [1, 3, 8])

@@ -422,6 +422,10 @@ def _search_doc(out, tiny_corpus, **changes):
     }
 
 
+def _budgeted_doc(out, tiny_corpus, **changes):
+    return _search_doc(out, tiny_corpus, **{"mode": "budgeted", "budget": 3, **changes})
+
+
 def _sweep_doc(out, tiny_corpus, **changes):
     return {
         "n": 2, "k_values": [0], "master_seed": 4,
@@ -434,11 +438,16 @@ def _sweep_doc(out, tiny_corpus, **changes):
     [
         (("search", _search_doc), ("search", _search_doc, {"master_seed": 99, "trials": 3}), ["master_seed"]),
         (("search", _search_doc), ("search", _search_doc, {"mode": "budgeted", "budget": 3, "master_seed": 5}),
-         ["mode", "master_seed"]),
-        (("sweep", _sweep_doc), ("sweep", _sweep_doc, {"n": 3, "k_values": [0, 1]}), ["sweep_n"]),
-        (("sweep", _sweep_doc), ("search", _search_doc, {}), ["mode", "sweep_n"]),
+         ["mode", "master_seed", "budget", "n_f", "n_s"]),
+        (("sweep", _sweep_doc), ("sweep", _sweep_doc, {"n": 3, "k_values": [0, 1]}), ["sweep_n", "k_values"]),
+        (("sweep", _sweep_doc), ("search", _search_doc, {}), ["mode", "n_s", "n_f", "k_values", "sweep_n"]),
+        (("search", _search_doc), ("search", _search_doc, {"n_s": 3, "trials": 3}), ["n_s"]),
+        (("search", _search_doc), ("search", _search_doc, {"n_f": 2}), ["n_f"]),
+        (("search", _budgeted_doc), ("search", _budgeted_doc, {"budget": 4, "trials": 3}), ["budget"]),
+        (("sweep", _sweep_doc), ("sweep", _sweep_doc, {"k_values": [0, 1]}), ["k_values"]),
     ],
-    ids=["master_seed", "mode_and_master_seed", "sweep_n", "sweep_file_resumed_by_a_search"],
+    ids=["master_seed", "mode_and_master_seed", "sweep_n", "sweep_file_resumed_by_a_search",
+         "n_s", "n_f", "budget", "k_values"],
 )
 def test_resume_under_another_config_exits_2_listing_every_field(
     tmp_path, tiny_corpus, capsys, monkeypatch, first, rerun, fields
@@ -490,7 +499,7 @@ def _edit_header(out, **fields):
 
 @pytest.mark.parametrize(
     "key, value, expected",
-    [("tool", "another-tool", "sublayer-lab"), ("v", 2, 1), ("n_s", 1, None)],
+    [("tool", "another-tool", "sublayer-lab"), ("v", 2, 1), ("budget", 1, None)],
     ids=["tool", "v", "a_key_this_run_lacks"],
 )
 def test_resume_into_a_header_differing_in_any_other_key_exits_2_unchanged(
@@ -758,6 +767,92 @@ def test_train_output_naming_a_directory_exits_2_before_training(
     }))
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert f"config error: {field}: names a directory: {tmp_path}" in capsys.readouterr().err
+
+
+def _output_inputs(tmp_path, tiny_corpus) -> dict:
+    """Inputs every config-driven command can read: the corpus, a checkpoint
+    on its vocabulary, two dumps and a results file of 2 trials."""
+    p = {name: str(tmp_path / name) for name in ("ckpt", "dump_a", "dump_b", "records")}
+    p["corpus"] = str(tiny_corpus)
+    vocab = lm_harness.load_corpus(tiny_corpus).vocab_size
+    save_checkpoint(build_model(ModelConfig(d=8, heads=2, vocab=vocab, context=8, ordering=parse_ordering("sf")), 0),
+                    p["ckpt"])
+    for name in ("dump_a", "dump_b"):
+        attn_analysis.save_dump(attn_analysis.AttentionDump(name, "sf", 1, 2, np.full((1, 1, 2, 2), 0.5)), p[name])
+    _results_with(Path(p["records"]), 2)
+    return p
+
+
+def _output_config(command, p, out):
+    small = {"train": train_block(steps=2), "corpus": p["corpus"], "out": out}
+    return {
+        "train": {"ordering": "sf", **small},
+        "search": {"mode": "permutation", "trials": 1, "n_s": 1, "n_f": 1, **small},
+        "sweep": {"n": 1, **small},
+        "capture": {"checkpoint": p["ckpt"], "corpus": p["corpus"], "out": out},
+        "distance": {"dumps": [p["dump_a"], p["dump_b"]], "out": out},
+        "analyze-halves": {"records": p["records"], "threshold": 2.0, "out": out},
+        "report": {"records": p["records"], "out_dir": out},
+    }[command]
+
+
+OUTPUT_WORK = {
+    "train": (lm_harness, "train_model"),
+    "search": (lm_harness, "train_model"),
+    "sweep": (lm_harness, "train_model"),
+    "capture": (attn_analysis, "capture"),
+    "distance": (attn_analysis, "distance_matrix"),
+    "analyze-halves": (lm_harness, "analyze_halves"),
+    "report": (lm_harness, "write_report"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_WORK))
+def test_an_output_naming_the_wrong_kind_of_file_exits_2_before_any_work(
+    tmp_path, tiny_corpus, capsys, monkeypatch, command
+):
+    p = _output_inputs(tmp_path, tiny_corpus)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command worked for an unwritable output")
+
+    monkeypatch.setattr(*OUTPUT_WORK[command], never)
+    taken = tmp_path / "taken"
+    field, kind = ("out_dir", "a file") if command == "report" else ("out", "a directory")
+    taken.write_text("") if command == "report" else taken.mkdir()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_output_config(command, p, str(taken))))
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"config error: {field}: names {kind}: {taken}"]
+    assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_WORK))
+def test_an_output_in_a_missing_directory_gets_its_directories(tmp_path, tiny_corpus, capsys, command):
+    p = _output_inputs(tmp_path, tiny_corpus)
+    out = tmp_path / "new" / "nested" / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_output_config(command, p, str(out))))
+    assert main([command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert out.is_dir() if command == "report" else out.is_file()
+
+
+def test_capture_of_a_checkpoint_without_self_attention_exits_2_naming_it(tmp_path, tiny_corpus, capsys):
+    ckpt, dump_path, cfg_path = tmp_path / "ff.ckpt", tmp_path / "d.jsonl", tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "ff", "train": {**train_block(steps=2), "d": 8}, "corpus": str(tiny_corpus),
+        "checkpoint_out": str(ckpt),
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    cfg_path.write_text(json.dumps({"checkpoint": str(ckpt), "corpus": str(tiny_corpus), "out": str(dump_path)}))
+    capsys.readouterr()
+    assert main(["capture", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: checkpoint: its ordering 'ff' has no self-attention sublayer to capture"
+    ]
+    assert not dump_path.exists()
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("-inf")], ids=["NaN", "-Infinity"])

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import gc
+import importlib
 import json
 import math
 import tracemalloc
@@ -238,20 +239,20 @@ def test_train_with_dropout_is_deterministic_and_distinct():
     corpus = lm.load_corpus_text(TINY_TEXT)
     template = tiny_template(steps=30, dropout=0.2)
     cfg = template.instantiate(parse_ordering("sf"), corpus.vocab_size, seed=6)
-    rec1, rec2 = lm.train(cfg, corpus), lm.train(cfg, corpus)
+    rec1, rec2 = lm.train_model(cfg, corpus)[0], lm.train_model(cfg, corpus)[0]
     assert rec1.loss_curve == rec2.loss_curve  # dropout masks are seeded
     plain = tiny_template(steps=30).instantiate(
         parse_ordering("sf"), corpus.vocab_size, seed=6
     )
-    assert lm.train(plain, corpus).loss_curve != rec1.loss_curve
+    assert lm.train_model(plain, corpus)[0].loss_curve != rec1.loss_curve
 
 
 def test_train_learns_and_is_deterministic():
     corpus = lm.load_corpus_text(TINY_TEXT)
     template = tiny_template(steps=200, eval_interval=50)
     cfg = template.instantiate(parse_ordering("sf"), corpus.vocab_size, seed=3)
-    rec1 = lm.train(cfg, corpus)
-    rec2 = lm.train(cfg, corpus)
+    rec1 = lm.train_model(cfg, corpus)[0]
+    rec2 = lm.train_model(cfg, corpus)[0]
     assert rec1.loss_curve == rec2.loss_curve
     assert rec1.valid_nats == rec2.valid_nats
     assert rec1.loss_curve[-1][1] < rec1.loss_curve[0][1]
@@ -281,7 +282,7 @@ def test_zero_sublayer_model_lands_between_bigram_and_unigram(bundled_corpus):
     template = tiny_template(d=32, heads=2, steps=600, batch_size=16, context=16,
                              lr=3e-3, eval_interval=200)
     cfg = template.instantiate(OrderingSpec(kinds=()), corpus.vocab_size, seed=4)
-    rec = lm.train(cfg, corpus)
+    rec = lm.train_model(cfg, corpus)[0]
     # embedding->output only: sees just the current character, so it can do no
     # better than a bigram model and should at least reach unigram level
     assert rec.valid_nats <= unigram_nats * 1.05
@@ -394,12 +395,12 @@ def test_sweep_orders_and_param_parity(tmp_path):
         lm.run_sandwich_sweep(4, [4], tiny_template(), corpus)
 
 
-def test_workers_produce_index_ordered_file(tmp_path):
+def test_search_writes_an_index_ordered_file_that_a_rerun_repeats(tmp_path):
     corpus = lm.load_corpus_text(TINY_TEXT)
     out = tmp_path / "w.jsonl"
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(), master_seed=10,
-        out_path=str(out), trials=4, n_s=2, n_f=1, workers=3,
+        out_path=str(out), trials=4, n_s=2, n_f=1,
     )
     lm.run_random_search(search, corpus)
     indices = [json.loads(l)["index"] for l in out.read_text().splitlines()[1:]]
@@ -411,10 +412,10 @@ def test_workers_produce_index_ordered_file(tmp_path):
             doc.pop("meta")
         return [json.dumps(doc, sort_keys=True) for doc in docs]
 
-    serial = tmp_path / "w1.jsonl"
-    search.out_path, search.workers = str(serial), 1
+    rerun = tmp_path / "w1.jsonl"
+    search.out_path = str(rerun)
     lm.run_random_search(search, corpus)
-    assert outside_meta(serial) == outside_meta(out)
+    assert outside_meta(rerun) == outside_meta(out)
 
 
 def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
@@ -422,7 +423,7 @@ def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
     out = tmp_path / "fail.jsonl"
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(), master_seed=11,
-        out_path=str(out), trials=8, n_s=2, n_f=1, workers=2,
+        out_path=str(out), trials=8, n_s=2, n_f=1,
     )
     index_of = {lm.derive_seed(11, i, "train"): i for i in range(8)}
     started = []
@@ -457,7 +458,7 @@ def test_trials_are_sampled_only_when_their_cohort_forms(tmp_path, monkeypatch):
     monkeypatch.setattr(lm, "train_model", fail)
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(), master_seed=12,
-        out_path=str(tmp_path / "lazy.jsonl"), trials=10**5, n_s=2, n_f=2, workers=3,
+        out_path=str(tmp_path / "lazy.jsonl"), trials=10**5, n_s=2, n_f=2,
     )
     with pytest.raises(RuntimeError, match="trial failed"):
         lm.run_random_search(search, corpus)
@@ -469,7 +470,7 @@ def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_pa
     corpus = lm.load_corpus_text(TINY_TEXT)
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(steps=2, eval_interval=1), master_seed=13,
-        out_path=str(tmp_path / "resume.jsonl"), trials=5, n_s=2, n_f=1, workers=2,
+        out_path=str(tmp_path / "resume.jsonl"), trials=5, n_s=2, n_f=1,
     )
     real, calls = lm.train_model, []
 
@@ -486,7 +487,7 @@ def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_pa
     assert [r.index for r in lm.read_results(search.out_path)] == [0]
     monkeypatch.setattr(lm, "train_model", real)
     lm.run_random_search(search, corpus)
-    clean = lm.SearchConfig(**{**vars(search), "out_path": str(tmp_path / "clean.jsonl"), "workers": 1})
+    clean = lm.SearchConfig(**{**vars(search), "out_path": str(tmp_path / "clean.jsonl")})
     lm.run_random_search(clean, corpus)
 
     def outside_meta(path):
@@ -496,11 +497,11 @@ def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_pa
 
 
 def test_each_pending_trial_is_one_train_model_call_in_index_order(tmp_path, monkeypatch):
-    """Search trains each trial through ``train_model``, whatever ``workers`` is."""
+    """Search trains each trial through ``train_model``."""
     corpus = lm.load_corpus_text(TINY_TEXT)
     search = lm.SearchConfig(
         mode="permutation", template=tiny_template(steps=2, eval_interval=1), master_seed=15,
-        out_path=str(tmp_path / "half.jsonl"), trials=2, n_s=2, n_f=1, workers=3,
+        out_path=str(tmp_path / "half.jsonl"), trials=2, n_s=2, n_f=1,
     )
     lm.run_random_search(search, corpus)  # the first half
     index_of = {lm.derive_seed(15, i, "train"): i for i in range(5)}
@@ -535,6 +536,19 @@ def test_no_package_module_runs_trials_on_threads_or_processes():
     assert found == []
 
 
+def test_every_name_in_each_modules_all_exists():
+    src = Path(lm.__file__).parent
+    missing, exported = [], 0
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"sublayer_lab.{path.stem}")
+        names = getattr(module, "__all__", [])
+        exported += len(names)
+        missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert missing == [] and exported > 0
+
+
 # -- records ---------------------------------------------------------------------------
 
 
@@ -555,7 +569,7 @@ def test_diverged_run_records_infinite_perplexity(bundled_corpus):
     cfg = tiny_template(steps=30, lr=1000.0, eval_interval=10).instantiate(
         parse_ordering("sfsf"), bundled_corpus.vocab_size, seed=0
     )
-    rec = lm.train(cfg, bundled_corpus)
+    rec = lm.train_model(cfg, bundled_corpus)[0]
     assert math.isfinite(rec.valid_nats) and rec.valid_nats > 710.0  # exp overflows
     assert rec.valid_ppl == math.inf
     back = lm.record_from_json_dict(json.loads(json.dumps(lm.record_to_json_dict(rec))))
