@@ -308,6 +308,7 @@ def _cmd_train(args) -> int:
         except OrderingError as e:
             errors.append(f"ordering: {e}")
     corpus = _training_inputs(cfg, errors)
+    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
     dirs = _output_dirs(cfg, errors, "out", "checkpoint_out")
     _raise_if(errors)
     _make_dirs(dirs)
@@ -316,7 +317,6 @@ def _cmd_train(args) -> int:
     template = lm_harness.TrainTemplate(**cfg["train"])
     record, model = lm_harness.train_model(template.instantiate(ordering, corpus.vocab_size, seed), corpus)
     record.sandwich_k = cfg["sandwich_k"]
-    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
     if checkpoint_out:
         save_checkpoint(model, checkpoint_out)
     if out:

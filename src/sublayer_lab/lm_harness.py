@@ -383,8 +383,11 @@ def _run_trials(
     fh, done = None, {}
     if out_path is not None:
         splits = json.dumps([corpus.train_text, corpus.valid_text, corpus.test_text]).encode()
-        train = {k: v.item() if isinstance(v, np.generic) else v for k, v in vars(template).items()}
-        run = {**run, "train": train, "corpus_sha256": hashlib.sha256(splits).hexdigest()}
+
+        def plain(fields: dict) -> dict:  # numpy scalars as the Python numbers JSON holds
+            return {k: v.item() if isinstance(v, np.generic) else v for k, v in fields.items()}
+
+        run = {**plain(run), "train": plain(vars(template)), "corpus_sha256": hashlib.sha256(splits).hexdigest()}
         fh, done = open_results(out_path, run)
     try:
         for index in range(count):

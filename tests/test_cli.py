@@ -818,8 +818,12 @@ def test_an_output_naming_the_wrong_kind_of_file_exits_2_before_any_work(
 
     monkeypatch.setattr(*OUTPUT_WORK[command], never)
     taken = tmp_path / "taken"
-    field, kind = ("out_dir", "a file") if command == "report" else ("out", "a directory")
-    taken.write_text("") if command == "report" else taken.mkdir()
+    if command == "report":  # out_dir is written into, so a file is what it must not name
+        field, kind = "out_dir", "a file"
+        taken.write_text("")
+    else:
+        field, kind = "out", "a directory"
+        taken.mkdir()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_output_config(command, p, str(taken))))
     before = sorted(tmp_path.rglob("*"))

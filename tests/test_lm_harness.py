@@ -892,3 +892,17 @@ def test_a_template_of_numpy_sizes_writes_and_resumes_the_same_header(tmp_path):
     assert headers[0]["train"] == headers[1]["train"] == vars(tiny_template(**sizes))
     assert headers[0]["corpus_sha256"] == headers[1]["corpus_sha256"]
     assert [len(p.read_text().splitlines()) for p in paths] == [3, 3]
+
+
+@pytest.mark.parametrize("mode, sizes", [("permutation", {"n_s": 1, "n_f": 1}), ("budgeted", {"budget": 3})])
+def test_numpy_sampler_sizes_write_and_resume_the_same_header(tmp_path, mode, sizes):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    headers = []
+    for name, given in (("plain", sizes), ("numpy", {k: np.int64(v) for k, v in sizes.items()})):
+        path = tmp_path / name
+        for trials in (1, 2):
+            lm.run_random_search(lm.SearchConfig(mode, tiny_template(steps=2), 3, str(path), trials, **given), corpus)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        headers.append({k: v for k, v in json.loads(lines[0]).items() if k != "meta"})
+    assert headers[0] == headers[1] and {k: headers[0][k] for k in sizes} == sizes
