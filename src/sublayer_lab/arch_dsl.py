@@ -255,6 +255,6 @@ def load_table_records() -> list[dict]:
     reference runs).
     """
     text = (
-        resources.files("sublayer_lab").joinpath("data", TABLES_FIXTURE).read_text()
+        resources.files(__package__).joinpath("data", TABLES_FIXTURE).read_text()
     )
     return [loads(line) for line in text.splitlines() if line.strip()]

@@ -169,13 +169,17 @@ def _raise_if(errors: list[str]) -> None:
 def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
     """The directories that the outputs ``cfg`` names under ``keys`` are
     written into, after adding to ``errors`` each output that names a
-    directory (or, for ``out_dir``, which is one, a file). A handler creates
-    them with :func:`_make_dirs` once every check has passed."""
+    directory (or, for ``out_dir``, which is one, a file) or whose nearest
+    existing ancestor is not a directory. A handler creates them with
+    :func:`_make_dirs` once every check has passed."""
     dirs = []
     for key in (k for k in keys if cfg[k]):
         path, is_dir = Path(cfg[key]), key == "out_dir"
         if path.exists() and path.is_dir() != is_dir:
             errors.append(f"{key}: names {'a file' if is_dir else 'a directory'}: {cfg[key]}")
+        above = next((p for p in path.parents if p.exists()), None)
+        if above is not None and not above.is_dir():
+            errors.append(f"{key}: runs through a file: {above}")
         dirs.append(path if is_dir else path.parent)
     return dirs
 

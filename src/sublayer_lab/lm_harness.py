@@ -9,10 +9,20 @@ the file's format is the ``results`` module's.
 Evaluation works in bounded memory: the NLL is summed per chunk of 64
 windows, and each chunk's forward runs in slices of windows sized so that one
 slice's widest activation fits ``EVAL_FLOATS``, with the same result bit for
-bit. Training runs its steps inside a ``tensor_core.buffer_pool()``, so each
-step reuses the activation and gradient buffers of the step before it; it
-leaves the pool, and frees Adam's state, before its final evaluation.
-``evaluate`` itself never enters a pool.
+bit. The chunks are scored on one thread per CPU this process may run on,
+the caller among them (numpy's GEMMs and ufunc loops release the GIL), and
+their sums are added in chunk order, so the result is bitwise that of one
+thread; each thread keeps the per-slice bound, so memory in flight grows
+with the thread count, not with the stream. A documented ``ValueError`` is
+raised before any thread starts; an exception raised while scoring reaches
+the caller once every thread has joined, the lowest-indexed chunk's first.
+Search, sweep and ``train_model`` still run their trials and steps in the
+caller's thread.
+
+Training runs its steps inside a ``tensor_core.buffer_pool()``, so each step
+reuses the activation and gradient buffers of the step before it; it leaves
+the pool, and frees Adam's state, before its final evaluation. ``evaluate``
+itself never enters a pool.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -180,7 +192,7 @@ def load_corpus(path, split_fractions: Sequence[float] = (0.8, 0.1, 0.1)) -> Cor
 
 def bundled_corpus_path() -> Path:
     """Path of the ~100KB sample corpus shipped with the package."""
-    return Path(str(resources.files("sublayer_lab").joinpath("data", "corpus.txt")))
+    return Path(str(resources.files(__package__).joinpath("data", "corpus.txt")))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +317,20 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     predicted exactly once; a short tail window is evaluated as-is. The NLL
     is summed per chunk of 64 windows, and each chunk's forward runs in
     slices of windows whose widest activation fits ``EVAL_FLOATS`` floats;
-    the logits are bitwise those of one forward per chunk. Raises
-    ``ValueError`` for a ``context`` outside ``[1, model.config.context]``
-    before any work.
+    the logits are bitwise those of one forward per chunk.
+
+    The chunks are spread over ``T = min(chunks, CPUs this process may run
+    on)`` threads, the caller being thread 0: thread ``k`` scores chunks
+    ``k, k + T, ...`` under its own ``no_grad()``. The chunk sums are added
+    in chunk order, so the result is bitwise that of one thread. Each thread
+    keeps the per-slice bound, so at most ``T`` slices, and ``T`` chunks'
+    logits, are in memory at once. A stream of one chunk starts no thread.
+
+    Raises ``ValueError`` before any work for a ``context`` outside
+    ``[1, model.config.context]``, a stream of fewer than 2 characters, or a
+    token id outside ``[0, vocab)``. Anything a thread raises while scoring
+    is raised here once every thread has joined; where several chunks
+    raise, the lowest-indexed chunk's exception wins.
     """
     cfg = model.config
     if not 1 <= context <= cfg.context:
@@ -315,6 +338,8 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     ids = np.asarray(stream)
     if ids.size < 2:
         raise ValueError("evaluation stream must hold at least 2 characters")
+    if ids.min() < 0 or ids.max() >= cfg.vocab:
+        raise ValueError(f"token id out of range [0, {cfg.vocab})")
     widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * context, cfg.vocab)
     step = max(1, EVAL_FLOATS // (context * widest))
     n_full = (ids.size - 1) // context
@@ -322,21 +347,57 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     chunks = [full[off : off + 64] for off in range(0, n_full, 64)]
     if n_full * context + 1 < ids.size:
         chunks.append(ids[None, n_full * context :])
+    n_threads = min(len(chunks), _cpu_count())
+    scored: list = [None] * len(chunks)  # each chunk's NLL sum, or what scoring it raised
+
+    def score(k: int) -> None:
+        with no_grad():
+            for i in range(k, len(chunks), n_threads):
+                try:
+                    scored[i] = _chunk_nll(model, chunks[i], step)
+                except BaseException as exc:  # raised by the caller, after the joins
+                    scored[i] = exc
+                    return
+
+    threads = []
+    try:
+        for k in range(1, n_threads):
+            t = threading.Thread(target=score, args=(k,), name=f"evaluate-{k}")
+            t.start()
+            threads.append(t)
+        score(0)
+    finally:
+        for t in threads:
+            t.join()
     total_nll = 0.0
-    total_chars = 0
-    with no_grad():
-        for w in chunks:
-            parts = [forward(model, w[i : i + step, :-1]).data for i in range(0, len(w), step)]
-            logits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            total_nll += _nll_sum(logits, w[:, 1:])
-            total_chars += w[:, 1:].size
-    return total_nll / total_chars
+    # in chunk order: a thread's unscored chunks follow the one that raised
+    for nll in scored:
+        if isinstance(nll, BaseException):
+            raise nll
+        total_nll += nll
+    return total_nll / (ids.size - 1)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_nll(model: TransformerStack, w: np.ndarray, step: int) -> float:
+    """Summed NLL of the windows ``w``, forwarded in slices of ``step`` windows."""
+    logits = np.concatenate([forward(model, w[j : j + step, :-1]).data for j in range(0, len(w), step)])
+    return _nll_sum(logits, w[:, 1:])
 
 
 def _nll_sum(logits: np.ndarray, targets: np.ndarray) -> float:
-    m = logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=-1)) + m[..., 0]
+    """Summed NLL of ``targets`` under ``logits``, which it overwrites."""
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    m = logits.max(axis=-1, keepdims=True)
+    np.exp(np.subtract(logits, m, out=logits), out=logits)
+    lse = np.log(logits.sum(axis=-1)) + m[..., 0]
     return float((lse - picked).sum())
 
 

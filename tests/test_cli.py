@@ -807,9 +807,13 @@ OUTPUT_WORK = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(OUTPUT_WORK))
+@pytest.mark.parametrize(
+    "command, through",
+    [(c, False) for c in sorted(OUTPUT_WORK)] + [(c, True) for c in sorted(OUTPUT_WORK)],
+    ids=sorted(OUTPUT_WORK) + [f"{c}-through-a-file" for c in sorted(OUTPUT_WORK)],
+)
 def test_an_output_naming_the_wrong_kind_of_file_exits_2_before_any_work(
-    tmp_path, tiny_corpus, capsys, monkeypatch, command
+    tmp_path, tiny_corpus, capsys, monkeypatch, command, through
 ):
     p = _output_inputs(tmp_path, tiny_corpus)
 
@@ -818,18 +822,22 @@ def test_an_output_naming_the_wrong_kind_of_file_exits_2_before_any_work(
 
     monkeypatch.setattr(*OUTPUT_WORK[command], never)
     taken = tmp_path / "taken"
-    if command == "report":  # out_dir is written into, so a file is what it must not name
-        field, kind = "out_dir", "a file"
+    field = "out_dir" if command == "report" else "out"
+    if through:  # a file where the output needs a directory
         taken.write_text("")
+        out, message = taken / "sub" / "x", f"{field}: runs through a file: {taken}"
+    elif command == "report":  # out_dir is written into, so a file is what it must not name
+        taken.write_text("")
+        out, message = taken, f"{field}: names a file: {taken}"
     else:
-        field, kind = "out", "a directory"
         taken.mkdir()
+        out, message = taken, f"{field}: names a directory: {taken}"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_output_config(command, p, str(taken))))
+    cfg_path.write_text(json.dumps(_output_config(command, p, str(out))))
     before = sorted(tmp_path.rglob("*"))
     assert main([command, "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"config error: {field}: names {kind}: {taken}"]
+    assert captured.err.splitlines() == [f"config error: {message}"]
     assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
 
 

@@ -2,9 +2,15 @@ import ast
 import dataclasses
 import gc
 import importlib
+import importlib.util
 import json
 import math
+import shutil
+import sys
+import threading
+import time
 import tracemalloc
+import types
 from pathlib import Path
 import xml.etree.ElementTree as ET
 
@@ -69,6 +75,29 @@ def test_corpus_validation_errors(tmp_path):
 def test_bundled_corpus_charset_size(bundled_corpus):
     assert 60 <= len(bundled_corpus.charset) <= 90
     assert len(bundled_corpus.train_text) > 50_000
+
+
+def test_a_copy_of_the_package_under_another_name_reads_its_own_data(tmp_path):
+    copy = tmp_path / "slab_copy"
+    shutil.copytree(Path(lm.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "data" / "tables_1_2.jsonl").write_text(
+        '{"ordering": "sf", "dev_ppl": 1.5, "source": "table1", "baseline": false}\n'
+    )
+    spec = importlib.util.spec_from_file_location(
+        "slab_copy", copy / "__init__.py", submodule_search_locations=[str(copy)]
+    )
+    sys.modules["slab_copy"] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(sys.modules["slab_copy"])
+        copied_lm = importlib.import_module("slab_copy.lm_harness")
+        copied_dsl = importlib.import_module("slab_copy.arch_dsl")
+        corpus_path = copied_lm.bundled_corpus_path()
+        records = copied_dsl.load_table_records()
+    finally:
+        for name in [n for n in sys.modules if n == "slab_copy" or n.startswith("slab_copy.")]:
+            del sys.modules[name]
+    assert corpus_path.resolve() == (copy / "data" / "corpus.txt").resolve()
+    assert records == [{"ordering": "sf", "dev_ppl": 1.5, "source": "table1", "baseline": False}]
 
 
 # -- evaluate --------------------------------------------------------------------
@@ -148,6 +177,7 @@ def test_evaluate_in_slices_is_bitwise_one_forward_per_chunk(monkeypatch, per_sl
     expected = one_forward_per_chunk(model, stream, 5)
     widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
     monkeypatch.setattr(lm, "EVAL_FLOATS", per_slice * 5 * widest)
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 1)  # one thread, so the calls come in order
     sizes = []
 
     def counted(model, tokens):
@@ -161,21 +191,145 @@ def test_evaluate_in_slices_is_bitwise_one_forward_per_chunk(monkeypatch, per_sl
     assert sizes == [min(per_slice, n - i) for n in chunks for i in range(0, n, per_slice)]
 
 
-def test_evaluate_memory_is_bounded_by_its_slices(bundled_corpus):
+def test_evaluate_memory_is_bounded_by_its_slices(bundled_corpus, monkeypatch):
     cfg = ModelConfig(d=32, heads=8, vocab=bundled_corpus.vocab_size, context=64,
                       ordering=parse_ordering("sfsf"))
     model = build_model(cfg, 0)
-    stream = bundled_corpus.valid_ids[: 64 * 64 + 1]
-    expected = one_forward_per_chunk(model, stream, 64)
-    tracemalloc.start()
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 2)
+    # one chunk (no thread), then five chunks and a tail on two threads
+    for stream in (bundled_corpus.valid_ids[: 64 * 64 + 1], bundled_corpus.train_ids[: 5 * 64 * 64 + 1 + 9]):
+        expected = one_forward_per_chunk(model, stream, 64)
+        tracemalloc.start()
+        try:
+            nats = lm.evaluate(model, stream, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nats == expected
+        # one forward over all 64 windows peaks at about 24 MB; a thread's slices
+        # of 4 and its chunk's logits at about 5 MB, so two threads stay under 12 MB
+        assert peak < 12e6, peak
+
+
+def _chunked_stream(corpus, chunks: int) -> np.ndarray:
+    """``chunks - 1`` chunks of 64 windows of 5, the last of them 10 windows
+    short, then a tail of 3: ``chunks`` chunks in all."""
+    return corpus.train_ids[: ((chunks - 2) * 64 + 54) * 5 + 1 + 3]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_evaluate_on_threads_is_bitwise_one_forward_per_chunk(monkeypatch, cpus):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sfsf"))
+    model = build_model(cfg, 4)
+    stream = _chunked_stream(corpus, 5)
+    expected = one_forward_per_chunk(model, stream, 5)
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
+    monkeypatch.setattr(lm, "EVAL_FLOATS", 7 * 5 * widest)  # slices of 7 windows
+    monkeypatch.setattr(lm, "_cpu_count", lambda: cpus)
+    threads = set()
+
+    def spied(model, tokens):
+        threads.add(threading.get_ident())
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", spied)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        nats = lm.evaluate(model, stream, 64)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert lm.evaluate(model, stream, 5) == expected
     finally:
-        tracemalloc.stop()
-    assert nats == expected
-    # one forward over all 64 windows peaks at about 24 MB, slices of 4 at about 7 MB
-    assert peak < 12e6, peak
+        sys.setswitchinterval(interval)
+    assert len(threads) == cpus
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_an_error_while_scoring_is_raised_in_the_caller_once_every_thread_joined(monkeypatch, cpus):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    # marker ids in chunks 1 and 2 (64 windows of 5 each), scored on different threads
+    slow, fast = cfg.vocab - 1, cfg.vocab - 2
+    stream = _chunked_stream(corpus, 5)
+    stream = np.where(np.isin(stream, [slow, fast]), 0, stream)
+    stream[1 * 64 * 5 + 7], stream[2 * 64 * 5 + 7] = slow, fast
+    monkeypatch.setattr(lm, "_cpu_count", lambda: cpus)
+
+    def fails_on_a_marked_chunk(model, tokens):
+        if (tokens == slow).any():
+            time.sleep(0.2)  # chunk 2 raises first, and the caller has no more chunks to score
+            raise RuntimeError("chunk 1 failed")
+        if (tokens == fast).any():
+            raise RuntimeError("chunk 2 failed")
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", fails_on_a_marked_chunk)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^chunk 1 failed$"):
+        lm.evaluate(model, stream, 5)
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_leaves_no_thread_running(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+
+    class Unstartable(threading.Thread):
+        def start(self):
+            if self.name == "evaluate-2":
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    caller = threading.current_thread()
+
+    def slow_off_the_caller(model, tokens):
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)  # thread 1 is still scoring when the start fails
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "threading", types.SimpleNamespace(Thread=Unstartable))
+    monkeypatch.setattr(lm, "forward", slow_off_the_caller)
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        lm.evaluate(model, _chunked_stream(corpus, 5), 5)
+    assert threading.active_count() == before
+
+
+def test_a_one_chunk_stream_starts_no_thread(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 4)
+    before, seen = threading.active_count(), []
+
+    def spied(model, tokens):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", spied)
+    lm.evaluate(model, corpus.train_ids[: 64 * 5 + 1], 5)
+    assert seen == [(threading.current_thread(), before)]
+
+
+def test_evaluate_rejects_a_token_id_outside_the_vocabulary_before_any_forward(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 2)
+    calls = []
+    monkeypatch.setattr(lm, "forward", lambda *args: calls.append(args))
+    for bad in (cfg.vocab, -1):
+        stream = corpus.train_ids[: 3 * 64 * 5 + 1].copy()
+        stream[-2] = bad
+        with pytest.raises(ValueError, match=rf"token id out of range \[0, {cfg.vocab}\)"):
+            lm.evaluate(model, stream, 5)
+    assert calls == []
 
 
 def test_evaluate_rejects_a_context_outside_the_model():
