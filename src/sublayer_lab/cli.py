@@ -166,12 +166,25 @@ def _raise_if(errors: list[str]) -> None:
         raise ConfigErrors(list(dict.fromkeys(errors)))
 
 
+# the fields that name files a command reads
+_INPUTS = ("corpus", "checkpoint", "dumps", "records")
+
+
 def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
     """The directories that the outputs ``cfg`` names under ``keys`` are
     written into, after adding to ``errors`` each output that names a
     directory (or, for ``out_dir``, which is one, a file) or whose nearest
-    existing ancestor is not a directory. A handler creates them with
+    existing ancestor is not a directory, and each file an output would
+    write (for ``out_dir``, the report's files) that one of the command's
+    inputs or another of its outputs names. A handler creates them with
     :func:`_make_dirs` once every check has passed."""
+    named: dict[Path, str] = {}  # each resolved path a field names, and that field
+    for key in (k for k in _INPUTS if cfg.get(k) is not None):
+        for raw in cfg[key] if key == "dumps" else [cfg[key]]:
+            if key == "records" and raw == "bundled-tables":
+                continue
+            path = lm_harness.bundled_corpus_path() if key == "corpus" and raw == "bundled" else Path(raw)
+            named.setdefault(path.resolve(), key)
     dirs = []
     for key in (k for k in keys if cfg[k]):
         path, is_dir = Path(cfg[key]), key == "out_dir"
@@ -180,6 +193,12 @@ def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
         above = next((p for p in path.parents if p.exists()), None)
         if above is not None and not above.is_dir():
             errors.append(f"{key}: runs through a file: {above}")
+        reports = lm_harness.REPORT_FILES
+        files = [path / reports[f] for f in cfg["formats"] or () if f in reports] if is_dir else [path]
+        for file in files:
+            other = named.setdefault(file.resolve(), key)
+            if other != key:
+                errors.append(f"{key}: writes {file}, which {other} names")
         dirs.append(path if is_dir else path.parent)
     return dirs
 

@@ -95,6 +95,7 @@ __all__ = [
     "render_svg",
     "write_report",
     "REPORT_FORMATS",
+    "REPORT_FILES",
 ]
 
 # Mean dev perplexity of the five bundled interleaved reference runs; the
@@ -388,8 +389,9 @@ def _cpu_count() -> int:
 
 def _chunk_nll(model: TransformerStack, w: np.ndarray, step: int) -> float:
     """Summed NLL of the windows ``w``, forwarded in slices of ``step`` windows."""
-    logits = np.concatenate([forward(model, w[j : j + step, :-1]).data for j in range(0, len(w), step)])
-    return _nll_sum(logits, w[:, 1:])
+    logits = [forward(model, w[j : j + step, :-1]).data for j in range(0, len(w), step)]
+    # under no_grad nothing else holds a forward's logits, so one slice's are scored in place
+    return _nll_sum(logits[0] if len(logits) == 1 else np.concatenate(logits), w[:, 1:])
 
 
 def _nll_sum(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -696,6 +698,7 @@ _REPORTS = {
     "svg": ("report.svg", render_svg),
 }
 REPORT_FORMATS = tuple(_REPORTS)
+REPORT_FILES = {fmt: name for fmt, (name, _) in _REPORTS.items()}  # the file each format writes in out_dir
 
 
 def write_report(records: Sequence[TrialRecord], formats: Iterable[str], out_dir) -> dict:

@@ -9,9 +9,8 @@ Besides the primitive ops there are three fused ones, each a single tape
 node with a hand-written backward: ``attention`` (multi-head scaled
 dot-product attention with its four projections; self-attention projects
 Q, K and V in one GEMM), ``linear`` and ``linear_relu``. A tape owns its
-nodes and their outputs; a tensor refers back to its tape only weakly (the
-tape hands the same weak reference to every tensor it records), so dropping
-the tape frees a step's activations without a garbage-collector pass.
+nodes and their outputs; a tensor refers back to its tape only weakly, so
+dropping the tape frees a step's activations without a garbage-collector pass.
 
 ``backward`` consumes its tape: once a node's backward has run, the node is
 replaced by a shared spent marker (so ``len(tape.nodes)`` is unchanged) and
@@ -46,10 +45,9 @@ lets numpy allocate as the operator form does. ``lm_harness.train_model``
 enters a pool around its steps.
 
 ``adam_step`` keeps the parameters and both Adam moments in one flat buffer
-each. It adopts the buffer that the parameters already tile in list order
-(``tiled_buffer``); otherwise it copies them into a fresh one. Either
-way every parameter's ``data`` is then a view into the optimizer's buffer,
-and the update runs over that buffer in fixed blocks.
+each. It copies the parameters into its own buffer and rebinds every
+parameter's ``data`` to a view of it, and the update runs over that buffer in
+fixed blocks.
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ __all__ = [
     "linear_relu",
     "attention",
     "tile",
-    "tiled_buffer",
     "OptimizerState",
     "adam_step",
     "finite_difference_check",
@@ -142,7 +139,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._ref = weakref.ref(self)  # handed to every tensor recorded here
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -177,29 +173,22 @@ def no_grad():
 
 
 class _Pool:
-    """Flat buffers per (size, dtype). Each list is scanned from just past
-    the buffer it last handed out: in a forward pass, where every buffer
-    taken stays held, the first one tried is then usually free."""
+    """Flat buffers per (size, dtype); ``take`` hands out the first one in
+    its list that nothing else references."""
 
     def __init__(self):
         self.buffers: dict[tuple, list[np.ndarray]] = {}
-        self.cursors: dict[tuple, int] = {}
         self.misses = 0  # buffers allocated rather than reused
 
     def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A buffer of ``shape`` that nothing else references, new if need be."""
         key = (math.prod(shape), dtype)
         bufs = self.buffers.setdefault(key, [])
-        n = len(bufs)
-        at = self.cursors.get(key, 0)
-        for i in range(at, at + n):
-            buf = bufs[i % n]
+        for buf in bufs:
             if sys.getrefcount(buf) == _FREE:
-                self.cursors[key] = i % n + 1
                 return buf.reshape(shape)
         self.misses += 1
         bufs.append(np.empty(key[0], dtype))
-        self.cursors[key] = n + 1
         return bufs[-1].reshape(shape)
 
 
@@ -256,7 +245,7 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     tapes = _LOCAL.tapes
     tape = tapes[-1] if tapes else None
     if tape is not None:
-        out._tape = tape._ref
+        out._tape = weakref.ref(tape)
         tape.nodes.append(_Node(out, inputs, backward_fn))
     return out
 
@@ -287,7 +276,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     tape = tape if tape is not None else loss.tape
     if tape is None:
         raise ValueError("loss was not recorded on any tape")
-    if loss._tape is not None and loss._tape is not tape._ref:
+    if loss._tape is not None and loss._tape() is not tape:
         raise ValueError("loss was recorded on another tape")
     if loss.data.shape != ():
         raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
@@ -744,29 +733,14 @@ def tile(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray
     return views
 
 
-def tiled_buffer(tensors: Sequence[Tensor]) -> np.ndarray | None:
-    """The flat float64 buffer that the tensors' data tile exactly, as
-    consecutive contiguous views in list order, or None."""
-    flat = tensors[0].data.base if tensors else None
-    if flat is None or flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
-        return None
-    at = flat.ctypes.data
-    for t in tensors:
-        a = t.data
-        if a.base is not flat or not a.flags.c_contiguous or a.ctypes.data != at:
-            return None
-        at += a.nbytes
-    return flat if at == flat.ctypes.data + flat.nbytes else None
-
-
 class OptimizerState:
     """Adam moments plus hyperparameters; buffers are allocated on the first step.
     ``betas`` and ``eps`` are fixed at Adam's usual values.
 
     The parameters, ``m`` and ``v`` each live in one flat float64 buffer.
-    The first step adopts the buffer the parameters tile, or packs them into
-    a fresh one; rebinding a ``p.data`` afterwards makes the next step do so
-    again.
+    The first step copies the parameters into a fresh buffer and rebinds
+    each ``p.data`` to a view of it; rebinding a ``p.data`` afterwards makes
+    the next step do so again.
     """
 
     betas = (0.9, 0.999)
@@ -788,13 +762,10 @@ class OptimizerState:
             raise ValueError("optimizer state does not match parameter list")
         if len({id(p) for p in params}) != len(params):
             raise ValueError("a parameter is listed twice")
-        flat = tiled_buffer(params)
-        if flat is None:  # pack the parameters into a fresh buffer
-            flat = np.empty(sum(math.prod(shape) for shape in shapes))
-            for p, view in zip(params, tile(flat, shapes)):
-                view[...] = p.data
-                p.data = view
-        self._flat = flat
+        self._flat = np.empty(sum(math.prod(shape) for shape in shapes))
+        for p, view in zip(params, tile(self._flat, shapes)):
+            view[...] = p.data
+            p.data = view
         if self.m is None:
             self.m = np.zeros(self._flat.size)
             self.v = np.zeros(self._flat.size)

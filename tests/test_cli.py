@@ -851,6 +851,54 @@ def test_an_output_in_a_missing_directory_gets_its_directories(tmp_path, tiny_co
     assert out.is_dir() if command == "report" else out.is_file()
 
 
+# case -> (the field that names the file an output would write, the output's field)
+CLASHES = {
+    "train": ("corpus", "out"),
+    "train-outputs": ("out", "checkpoint_out"),
+    "search": ("corpus", "out"),
+    "sweep": ("corpus", "out"),
+    "capture": ("checkpoint", "out"),
+    "distance": ("dumps", "out"),
+    "analyze-halves": ("records", "out"),
+    "report": ("records", "out_dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASHES))
+def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
+    tmp_path, tiny_corpus, capsys, monkeypatch, case
+):
+    command = case.split("-outputs")[0]
+    p = _output_inputs(tmp_path, tiny_corpus)
+    p["dumps"], p["checkpoint"] = p["dump_b"], p["ckpt"]
+    named, field = CLASHES[case]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command worked for an output that names one of its files")
+
+    monkeypatch.setattr(*OUTPUT_WORK[command], never)
+    cfg = _output_config(command, p, None)
+    if case == "train-outputs":
+        target = tmp_path / "taken"
+        cfg["out"] = cfg["checkpoint_out"] = str(target)
+    elif command == "report":  # a results file named like the report's csv, in out_dir
+        target = tmp_path / "reports" / "report.csv"
+        target.parent.mkdir()
+        _results_with(target, 2)
+        cfg.update(records=str(target), out_dir=str(target.parent), formats=["markdown", "csv"])
+    else:
+        target = Path(p[named])
+        cfg[field] = str(target)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"config error: {field}: writes {target}, which {named} names"]
+    assert captured.out == ""
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
 def test_capture_of_a_checkpoint_without_self_attention_exits_2_naming_it(tmp_path, tiny_corpus, capsys):
     ckpt, dump_path, cfg_path = tmp_path / "ff.ckpt", tmp_path / "d.jsonl", tmp_path / "c.json"
     cfg_path.write_text(json.dumps({

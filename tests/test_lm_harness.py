@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import shutil
 import sys
 import threading
@@ -315,6 +316,56 @@ def test_a_one_chunk_stream_starts_no_thread(monkeypatch):
     monkeypatch.setattr(lm, "forward", spied)
     lm.evaluate(model, corpus.train_ids[: 64 * 5 + 1], 5)
     assert seen == [(threading.current_thread(), before)]
+
+
+def test_a_chunk_of_one_slice_is_scored_on_the_forwards_own_logits(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    stream = corpus.train_ids[: 66 * 5 + 1 + 3]  # chunks of 64 and 2 full windows, then a tail
+    expected = one_forward_per_chunk(model, stream, 5)
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
+    monkeypatch.setattr(lm, "EVAL_FLOATS", 64 * 5 * widest)  # slices of 64 windows: one per chunk
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 1)
+    outputs, scored, nll_sum = [], [], lm._nll_sum
+
+    def spied_forward(model, tokens):
+        out = forward(model, tokens)
+        outputs.append(out.data)
+        return out
+
+    def spied_nll_sum(logits, targets):
+        scored.append(logits)
+        return nll_sum(logits, targets)
+
+    monkeypatch.setattr(lm, "forward", spied_forward)
+    monkeypatch.setattr(lm, "_nll_sum", spied_nll_sum)
+    assert lm.evaluate(model, stream, 5) == expected
+    assert len(scored) == len(outputs) == 3
+    assert all(a is b for a, b in zip(scored, outputs))
+
+
+@pytest.mark.parametrize("cpus, threads", [(3, 3), (None, 1)])
+def test_cpu_count_without_an_affinity_call_is_os_cpu_count_or_1(monkeypatch, cpus, threads):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    stream = _chunked_stream(corpus, 5)
+    expected = one_forward_per_chunk(model, stream, 5)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert lm._cpu_count() == threads
+    seen = set()
+
+    def spied(model, tokens):
+        seen.add(threading.get_ident())
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", spied)
+    assert lm.evaluate(model, stream, 5) == expected
+    assert len(seen) == threads
 
 
 def test_evaluate_rejects_a_token_id_outside_the_vocabulary_before_any_forward(monkeypatch):
