@@ -55,15 +55,15 @@ def load(tree: Path, name: str) -> dict:
 class Side:
     """One tree's models and optimizer states, one per shape."""
 
-    def __init__(self, pkg: dict, shapes: dict, seed: int):
+    def __init__(self, pkg: dict, shapes: dict):
         self.tc, self.lm, self.model = pkg["tensor_core"], pkg["lm_harness"], pkg["model"]
         self.corpus = self.lm.load_corpus(self.lm.bundled_corpus_path())
         self.runs = {}
         for name, (d, heads, context, batch) in shapes.items():
             cfg = self.model.ModelConfig(d=d, heads=heads, vocab=self.corpus.vocab_size, context=context,
                                          ordering=pkg["arch_dsl"].parse_ordering(ORDERING))
-            m = self.model.build_model(cfg, seed)
-            rng = np.random.Generator(np.random.PCG64(seed))
+            m = self.model.build_model(cfg, 0)
+            rng = np.random.Generator(np.random.PCG64(0))
             self.runs[name] = (m, m.parameters(), self.tc.OptimizerState(lr=1e-3), rng, context, batch)
 
     def step(self, name: str) -> float:
@@ -110,11 +110,10 @@ class Row(NamedTuple):
     equal: bool
 
 
-def compare(parent_dir: Path, rounds: int, shapes: dict = SHAPES, seed: int = 0) -> list[Row]:
+def compare(parent_dir: Path, rounds: int, shapes: dict = SHAPES) -> list[Row]:
     """Run both trees' calls for ``rounds`` rounds; one row per call."""
     try:
-        sides = [Side(load(Path(parent_dir), "ab_parent"), shapes, seed),
-                 Side(load(CHANGE_DIR, "ab_change"), shapes, seed)]
+        sides = [Side(load(Path(parent_dir), "ab_parent"), shapes), Side(load(CHANGE_DIR, "ab_change"), shapes)]
         times, equal = _interleave(sides, shapes, rounds)
     finally:
         for name in [n for n in sys.modules if n.split(".")[0] in ("ab_parent", "ab_change")]:
