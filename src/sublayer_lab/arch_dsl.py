@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "split_halves",
     "half_counts",
     "HalfCounts",
+    "bundled_tables_path",
     "load_table_records",
     "TABLES_FIXTURE",
 ]
@@ -247,6 +249,11 @@ def half_counts(spec: OrderingSpec) -> HalfCounts:
     )
 
 
+def bundled_tables_path() -> Path:
+    """Path of the bundled reference tables, read by :func:`load_table_records`."""
+    return Path(str(resources.files(__package__).joinpath("data", TABLES_FIXTURE)))
+
+
 def load_table_records() -> list[dict]:
     """Bundled reference results: one record per row of the two dev-set tables.
 
@@ -254,7 +261,5 @@ def load_table_records() -> list[dict]:
     ("table1" or "table2"), and ``baseline`` (bool; True for the interleaved
     reference runs).
     """
-    text = (
-        resources.files(__package__).joinpath("data", TABLES_FIXTURE).read_text()
-    )
+    text = bundled_tables_path().read_text()
     return [loads(line) for line in text.splitlines() if line.strip()]

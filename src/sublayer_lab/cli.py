@@ -147,8 +147,9 @@ def _walk(doc: dict, table: dict, errors: list[str], prefix: str = "") -> dict:
 
 def _config(path, command: str) -> tuple[dict, list[str]]:
     """The config file at ``path`` walked against ``command``'s table: the
-    normalised config and the errors found, to which the handler adds its
-    cross-field checks before :func:`_raise_if`."""
+    normalised config, with ``path`` itself under ``"--config"``, and the
+    errors found, to which the handler adds its cross-field checks before
+    :func:`_raise_if`."""
     try:
         doc = loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -158,7 +159,7 @@ def _config(path, command: str) -> tuple[dict, list[str]]:
     if not isinstance(doc, dict):
         raise ConfigErrors(["config: top level must be a JSON object"])
     errors: list[str] = []
-    return _walk(doc, TABLES[command], errors), errors
+    return {**_walk(doc, TABLES[command], errors), "--config": path}, errors
 
 
 def _raise_if(errors: list[str]) -> None:
@@ -166,8 +167,8 @@ def _raise_if(errors: list[str]) -> None:
         raise ConfigErrors(list(dict.fromkeys(errors)))
 
 
-# the fields that name files a command reads
-_INPUTS = ("corpus", "checkpoint", "dumps", "records")
+# the fields that name files a command reads, the config file itself first
+_INPUTS = ("--config", "corpus", "checkpoint", "dumps", "records")
 
 
 def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
@@ -181,10 +182,11 @@ def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
     named: dict[Path, str] = {}  # each resolved path a field names, and that field
     for key in (k for k in _INPUTS if cfg.get(k) is not None):
         for raw in cfg[key] if key == "dumps" else [cfg[key]]:
-            if key == "records" and raw == "bundled-tables":
-                continue
-            path = lm_harness.bundled_corpus_path() if key == "corpus" and raw == "bundled" else Path(raw)
-            named.setdefault(path.resolve(), key)
+            if (key, raw) == ("corpus", "bundled"):
+                raw = lm_harness.bundled_corpus_path()
+            elif (key, raw) == ("records", "bundled-tables"):
+                raw = arch_dsl.bundled_tables_path()
+            named.setdefault(Path(raw).resolve(), key)
     dirs = []
     for key in (k for k in keys if cfg[k]):
         path, is_dir = Path(cfg[key]), key == "out_dir"

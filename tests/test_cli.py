@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sublayer_lab import attn_analysis, lm_harness
+from sublayer_lab import arch_dsl, attn_analysis, lm_harness
 from sublayer_lab.arch_dsl import parse_ordering
 from sublayer_lab.cli import main
 from sublayer_lab.model import ModelConfig, build_model, save_checkpoint
@@ -851,16 +851,18 @@ def test_an_output_in_a_missing_directory_gets_its_directories(tmp_path, tiny_co
     assert out.is_dir() if command == "report" else out.is_file()
 
 
-# case -> (the field that names the file an output would write, the output's field)
+# case -> (command, the field that names the file an output would write, the output's field)
 CLASHES = {
-    "train": ("corpus", "out"),
-    "train-outputs": ("out", "checkpoint_out"),
-    "search": ("corpus", "out"),
-    "sweep": ("corpus", "out"),
-    "capture": ("checkpoint", "out"),
-    "distance": ("dumps", "out"),
-    "analyze-halves": ("records", "out"),
-    "report": ("records", "out_dir"),
+    "train": ("train", "corpus", "out"),
+    "train-outputs": ("train", "out", "checkpoint_out"),
+    "search": ("search", "corpus", "out"),
+    "sweep": ("sweep", "corpus", "out"),
+    "capture": ("capture", "checkpoint", "out"),
+    "distance": ("distance", "dumps", "out"),
+    "analyze-halves": ("analyze-halves", "records", "out"),
+    "analyze-halves-bundled-tables": ("analyze-halves", "records", "out"),
+    "analyze-halves-config": ("analyze-halves", "--config", "out"),
+    "report": ("report", "records", "out_dir"),
 }
 
 
@@ -868,19 +870,26 @@ CLASHES = {
 def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
     tmp_path, tiny_corpus, capsys, monkeypatch, case
 ):
-    command = case.split("-outputs")[0]
+    command, named, field = CLASHES[case]
     p = _output_inputs(tmp_path, tiny_corpus)
     p["dumps"], p["checkpoint"] = p["dump_b"], p["ckpt"]
-    named, field = CLASHES[case]
 
     def never(*args, **kwargs):
         raise AssertionError("the command worked for an output that names one of its files")
 
     monkeypatch.setattr(*OUTPUT_WORK[command], never)
-    cfg = _output_config(command, p, None)
+    cfg, cfg_path = _output_config(command, p, None), tmp_path / "cfg.json"
     if case == "train-outputs":
         target = tmp_path / "taken"
         cfg["out"] = cfg["checkpoint_out"] = str(target)
+    elif case == "analyze-halves-config":
+        target = cfg_path
+        cfg["out"] = str(target)
+    elif case == "analyze-halves-bundled-tables":  # a copy stands in for the package's tables
+        target = tmp_path / "tables.jsonl"
+        target.write_bytes(arch_dsl.bundled_tables_path().read_bytes())
+        monkeypatch.setattr(arch_dsl, "bundled_tables_path", lambda: target)
+        cfg.update(records="bundled-tables", out=str(target))
     elif command == "report":  # a results file named like the report's csv, in out_dir
         target = tmp_path / "reports" / "report.csv"
         target.parent.mkdir()
@@ -889,7 +898,6 @@ def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
     else:
         target = Path(p[named])
         cfg[field] = str(target)
-    cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
     assert main([command, "--config", str(cfg_path)]) == 2
