@@ -186,7 +186,8 @@ def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
                 raw = lm_harness.bundled_corpus_path()
             elif (key, raw) == ("records", "bundled-tables"):
                 raw = arch_dsl.bundled_tables_path()
-            named.setdefault(Path(raw).resolve(), key)
+            if Path(raw).is_file():  # a missing input is its own field's error
+                named.setdefault(Path(raw).resolve(), key)
     dirs = []
     for key in (k for k in keys if cfg[k]):
         path, is_dir = Path(cfg[key]), key == "out_dir"

@@ -907,6 +907,22 @@ def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
     assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [("train", "corpus"), ("capture", "checkpoint"), ("distance", "dumps"), ("analyze-halves", "records"),
+     ("report", "records")],
+)
+def test_an_input_path_the_os_cannot_look_up_is_not_found_and_exits_2(tmp_path, tiny_corpus, capsys, command, field):
+    p = _output_inputs(tmp_path, tiny_corpus)
+    cfg = _output_config(command, p, str(tmp_path / "out"))
+    bad = str(tmp_path / "in\0put")
+    cfg[field] = [bad, p["dump_b"]] if field == "dumps" else bad
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert f"config error: {field}: file not found: {bad}" in capsys.readouterr().err.splitlines()
+
+
 def test_capture_of_a_checkpoint_without_self_attention_exits_2_naming_it(tmp_path, tiny_corpus, capsys):
     ckpt, dump_path, cfg_path = tmp_path / "ff.ckpt", tmp_path / "d.jsonl", tmp_path / "c.json"
     cfg_path.write_text(json.dumps({
