@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -145,11 +146,29 @@ def _walk(doc: dict, table: dict, errors: list[str], prefix: str = "") -> dict:
     return out
 
 
-def _config(path, command: str) -> tuple[dict, list[str]]:
-    """The config file at ``path`` walked against ``command``'s table: the
-    normalised config, with ``path`` itself under ``"--config"``, and the
-    errors found, to which the handler adds its cross-field checks before
-    :func:`_raise_if`."""
+# the fields that name files a command reads, and those that name what it
+# writes (``out_dir`` a directory, into which ``report`` writes its files)
+_INPUTS = ("corpus", "checkpoint", "dumps", "records")
+_OUTPUTS = ("out", "checkpoint_out", "out_dir")
+
+
+def _file(key: str, raw: str) -> Path:
+    """The file that ``raw`` names in the field ``key``: a bundled name stands
+    for the package's own file."""
+    if (key, raw) == ("corpus", "bundled"):
+        return lm_harness.bundled_corpus_path()
+    if (key, raw) == ("records", "bundled-tables"):
+        return arch_dsl.bundled_tables_path()
+    return Path(raw)
+
+
+def _config(path, command: str) -> tuple[dict, list[str], list[Path]]:
+    """The config file at ``path`` walked against ``command``'s table and its
+    files checked: the normalised config, with ``path`` itself under
+    ``"--config"`` and each input that names no file set to None; the errors
+    found, to which the handler adds its cross-field checks before
+    :func:`_raise_if`; and the directories its outputs need, which the
+    handler creates with :func:`_make_dirs` once every check has passed."""
     try:
         doc = loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -159,7 +178,20 @@ def _config(path, command: str) -> tuple[dict, list[str]]:
     if not isinstance(doc, dict):
         raise ConfigErrors(["config: top level must be a JSON object"])
     errors: list[str] = []
-    return {**_walk(doc, TABLES[command], errors), "--config": path}, errors
+    cfg = {**_walk(doc, TABLES[command], errors), "--config": path}
+    # each resolved path an input names, and that field, the config file first
+    named = {Path(path).resolve(): "--config"} if os.path.isfile(path) else {}
+    for key in (k for k in _INPUTS if cfg.get(k) is not None):
+        for raw in cfg[key] if key == "dumps" else [cfg[key]]:
+            # report reads results files only, so its records take no bundled name
+            file = Path(raw) if command == "report" else _file(key, raw)
+            if os.path.isfile(file):
+                named.setdefault(file.resolve(), key)
+            else:  # corpus shows the path it looked up, the others the value given
+                errors.append(f"{key}: file not found: {file if key == 'corpus' else raw}")
+                cfg[key] = None
+    dirs = [d for key in _OUTPUTS if cfg.get(key) is not None for d in _output_dirs(key, cfg, named, errors)]
+    return cfg, errors, dirs
 
 
 def _raise_if(errors: list[str]) -> None:
@@ -167,48 +199,58 @@ def _raise_if(errors: list[str]) -> None:
         raise ConfigErrors(list(dict.fromkeys(errors)))
 
 
-# the fields that name files a command reads, the config file itself first
-_INPUTS = ("--config", "corpus", "checkpoint", "dumps", "records")
+def _unwritable(key: str, raw: str, path: Path) -> list[str]:
+    """Why the output ``key`` (``raw`` in the config) cannot be written at
+    ``path``: it names a directory (for ``out_dir``, which is one, a file), or
+    its nearest existing ancestor is not a directory."""
+    is_dir, errors = key == "out_dir", []
+    if path.exists() and path.is_dir() != is_dir:
+        errors.append(f"{key}: names {'a file' if is_dir else 'a directory'}: {raw}")
+    above = next((p for p in path.parents if p.exists()), None)
+    if above is not None and not above.is_dir():
+        errors.append(f"{key}: runs through a file: {above}")
+    return errors
 
 
-def _output_dirs(cfg: dict, errors: list[str], *keys: str) -> list[Path]:
-    """The directories that the outputs ``cfg`` names under ``keys`` are
-    written into, after adding to ``errors`` each output that names a
-    directory (or, for ``out_dir``, which is one, a file) or whose nearest
-    existing ancestor is not a directory, and each file an output would
-    write (for ``out_dir``, the report's files) that one of the command's
-    inputs or another of its outputs names. A handler creates them with
-    :func:`_make_dirs` once every check has passed."""
-    named: dict[Path, str] = {}  # each resolved path a field names, and that field
-    for key in (k for k in _INPUTS if cfg.get(k) is not None):
-        for raw in cfg[key] if key == "dumps" else [cfg[key]]:
-            if (key, raw) == ("corpus", "bundled"):
-                raw = lm_harness.bundled_corpus_path()
-            elif (key, raw) == ("records", "bundled-tables"):
-                raw = arch_dsl.bundled_tables_path()
-            if Path(raw).is_file():  # a missing input is its own field's error
-                named.setdefault(Path(raw).resolve(), key)
-    dirs = []
-    for key in (k for k in keys if cfg[k]):
-        path, is_dir = Path(cfg[key]), key == "out_dir"
-        if path.exists() and path.is_dir() != is_dir:
-            errors.append(f"{key}: names {'a file' if is_dir else 'a directory'}: {cfg[key]}")
-        above = next((p for p in path.parents if p.exists()), None)
-        if above is not None and not above.is_dir():
-            errors.append(f"{key}: runs through a file: {above}")
+def _output_dirs(key: str, cfg: dict, named: dict[Path, str], errors: list[str]) -> list[Path]:
+    """The directories that the output ``cfg[key]`` is written into, after
+    adding to ``errors`` why it cannot be: it is empty; the OS cannot resolve
+    it; the path as written, or else the file it resolves to, is
+    :func:`_unwritable`; or a file it writes (for ``out_dir``, the report's
+    files) is a directory or one that ``named`` holds, which it then joins."""
+    raw = cfg[key]
+    if not raw:
+        errors.append(f"{key}: names no file")
+        return []
+    path = Path(raw)
+    try:
+        real = path.resolve()  # a symlink loop or a null byte raises here, a name too long below
+        found = _unwritable(key, raw, path) or _unwritable(key, raw, real)
         reports = lm_harness.REPORT_FILES
-        files = [path / reports[f] for f in cfg["formats"] or () if f in reports] if is_dir else [path]
+        files = [path / reports[f] for f in cfg["formats"] or () if f in reports] if key == "out_dir" else [path]
         for file in files:
             other = named.setdefault(file.resolve(), key)
             if other != key:
-                errors.append(f"{key}: writes {file}, which {other} names")
-        dirs.append(path if is_dir else path.parent)
-    return dirs
+                found.append(f"{key}: writes {file}, which {other} names")
+            elif key == "out_dir" and file.is_dir():  # a file output itself is checked above
+                found.append(f"{key}: writes {file}, which is a directory")
+    except (OSError, RuntimeError, ValueError) as e:
+        errors.append(f"{key}: cannot resolve {raw}: {e}")
+        return []
+    errors += found
+    # the target's directories first: the path as written may run through a dangling symlink
+    return [real, path] if key == "out_dir" else [real.parent, path.parent]
 
 
 def _make_dirs(dirs: list[Path]) -> None:
     for path in dirs:
         path.mkdir(parents=True, exist_ok=True)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as indented JSON to the optional output ``path``."""
+    if path is not None:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_corpus(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
@@ -218,12 +260,8 @@ def _resolve_corpus(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
         return None
     if raw is None or fractions is None:
         return None
-    path = lm_harness.bundled_corpus_path() if raw == "bundled" else Path(raw)
-    if not path.is_file():
-        errors.append(f"corpus: file not found: {path}")
-        return None
     try:
-        return lm_harness.load_corpus(path, tuple(fractions))
+        return lm_harness.load_corpus(_file("corpus", raw), tuple(fractions))
     except ValueError as e:  # a fault of the fractions says so; else it is the file's
         errors.append(f"{'split_fractions' if 'fraction' in str(e) else 'corpus'}: {e}")
         return None
@@ -326,7 +364,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, errors = _config(args.config, "train")
+    cfg, errors, dirs = _config(args.config, "train")
     ordering = None
     if cfg["ordering"] is not None:
         try:
@@ -334,8 +372,6 @@ def _cmd_train(args) -> int:
         except OrderingError as e:
             errors.append(f"ordering: {e}")
     corpus = _training_inputs(cfg, errors)
-    out, checkpoint_out = cfg["out"], cfg["checkpoint_out"]
-    dirs = _output_dirs(cfg, errors, "out", "checkpoint_out")
     _raise_if(errors)
     _make_dirs(dirs)
 
@@ -343,11 +379,9 @@ def _cmd_train(args) -> int:
     template = lm_harness.TrainTemplate(**cfg["train"])
     record, model = lm_harness.train_model(template.instantiate(ordering, corpus.vocab_size, seed), corpus)
     record.sandwich_k = cfg["sandwich_k"]
-    if checkpoint_out:
-        save_checkpoint(model, checkpoint_out)
-    if out:
-        payload = results.record_to_json_dict(record)
-        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if cfg["checkpoint_out"] is not None:
+        save_checkpoint(model, cfg["checkpoint_out"])
+    _write_json(cfg["out"], results.record_to_json_dict(record))
     print(
         f"ordering={record.ordering} seed={record.seed} "
         f"valid_nats={record.valid_nats:.6f} valid_bpc={record.valid_bpc:.6f} "
@@ -357,7 +391,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg, errors = _config(args.config, "search")
+    cfg, errors, dirs = _config(args.config, "search")
     mode = cfg["mode"]
     if mode is not None and mode not in ("permutation", "budgeted"):
         errors.append(f"mode: expected permutation|budgeted, got {mode!r}")
@@ -366,7 +400,6 @@ def _cmd_search(args) -> int:
     if mode == "budgeted" and cfg["budget"] < 1:
         errors.append("budget: budgeted mode needs budget >= 1")
     corpus = _training_inputs(cfg, errors)
-    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
     _make_dirs(dirs)
 
@@ -381,13 +414,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, errors = _config(args.config, "sweep")
+    cfg, errors, dirs = _config(args.config, "sweep")
     n, k_values = cfg["n"], cfg["k_values"]
     for k in k_values if n is not None and k_values is not None else ():
         if not 0 <= k <= n - 1:
             errors.append(f"k_values: k={k} out of range [0, {n - 1}] for n={n}")
     corpus = _training_inputs(cfg, errors)
-    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
     _make_dirs(dirs)
 
@@ -401,10 +433,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_capture(args) -> int:
-    cfg, errors = _config(args.config, "capture")
+    cfg, errors, dirs = _config(args.config, "capture")
     ckpt, split, offset, length = cfg["checkpoint"], cfg["split"], cfg["offset"], cfg["length"]
-    if ckpt is not None and not Path(ckpt).is_file():
-        errors.append(f"checkpoint: file not found: {ckpt}")
     if split not in ("train", "valid", "test"):
         errors.append(f"split: expected train|valid|test, got {split!r}")
     corpus = _resolve_corpus(cfg, errors)
@@ -418,7 +448,6 @@ def _cmd_capture(args) -> int:
             errors.append(
                 f"length: window [{offset}, {offset + length}) runs past the {split} split's length {stream.size}"
             )
-    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
 
     model = load_checkpoint(ckpt)
@@ -443,15 +472,11 @@ def _cmd_capture(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    cfg, errors = _config(args.config, "distance")
+    cfg, errors, dirs = _config(args.config, "distance")
     paths, groups = cfg["dumps"], cfg["groups"]
-    for p in paths or ():
-        if not Path(p).is_file():
-            errors.append(f"dumps: file not found: {p}")
     for mid, label in (groups or {}).items():
         if type(label) is not str:
             errors.append(f"groups: label of {mid!r} must be a string, got {label!r}")
-    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
 
     dumps = [attn_analysis.load_dump(p) for p in paths]
@@ -478,13 +503,12 @@ def _cmd_distance(args) -> int:
         }
         for key, val in sorted(payload["group_pair_means"].items()):
             print(f"{key}: {val:.9g}")
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(cfg["out"], payload)
     return 0
 
 
 def _cmd_analyze_halves(args) -> int:
-    cfg, errors = _config(args.config, "analyze-halves")
+    cfg, errors, dirs = _config(args.config, "analyze-halves")
     records_path, threshold, metric_field = cfg["records"], cfg["threshold"], cfg["metric_field"]
     if not math.isfinite(threshold):
         errors.append(f"threshold: must be finite, got {threshold}")
@@ -498,19 +522,12 @@ def _cmd_analyze_halves(args) -> int:
             if cfg["include_baselines"] or not r["baseline"]
         ]
     elif records_path is not None:
-        if not Path(records_path).is_file():
-            errors.append(f"records: file not found: {records_path}")
-        else:
-            field = metric_field or "valid_ppl"
-            rows = [
-                (rec.ordering, getattr(rec, field, None))
-                for rec in results.read_results(records_path)
-            ]
+        field = metric_field or "valid_ppl"
+        rows = [(rec.ordering, getattr(rec, field, None)) for rec in results.read_results(records_path)]
     try:
         pairs = [(ordering, typed(x, float, "metric_field")) for ordering, x in rows]
     except ValueError:
         errors.append(f"metric_field: {field!r} is not a numeric field of the records")
-    dirs = _output_dirs(cfg, errors, "out")
     _raise_if(errors)
     if len(pairs) < 2:
         raise ConfigErrors([f"records: analyze-halves needs at least 2 records, {records_path} holds {len(pairs)}"])
@@ -529,20 +546,16 @@ def _cmd_analyze_halves(args) -> int:
         )
     for w in report.warnings:
         print(f"warning: {w}")
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(cfg["out"], report.to_json_dict())
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg, errors = _config(args.config, "report")
+    cfg, errors, dirs = _config(args.config, "report")
     records_path, formats = cfg["records"], cfg["formats"]
-    if records_path is not None and not Path(records_path).is_file():
-        errors.append(f"records: file not found: {records_path}")
     for f in formats or ():
         if f not in lm_harness.REPORT_FORMATS:
             errors.append(f"formats: unknown format {f!r}")
-    dirs = _output_dirs(cfg, errors, "out_dir")
     _raise_if(errors)
 
     records = results.read_results(records_path)

@@ -923,6 +923,66 @@ def test_an_input_path_the_os_cannot_look_up_is_not_found_and_exits_2(tmp_path, 
     assert f"config error: {field}: file not found: {bad}" in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("case", ["symlink-loop", "null-byte", "empty", "up-from-a-file", "dangling-symlink"])
+def test_an_output_is_checked_as_written_and_as_resolved_before_training(
+    tmp_path, tiny_corpus, capsys, monkeypatch, case
+):
+    link, target = tmp_path / "link", tmp_path / "missing" / "x.json"
+    if case == "symlink-loop":  # the error's own text differs between Python versions
+        (tmp_path / "loop").symlink_to(link)
+        link.symlink_to(tmp_path / "loop")
+        out, message = str(link), f"out: cannot resolve {link}: "
+    elif case == "null-byte":
+        out = str(tmp_path / "a\0b")
+        message = f"out: cannot resolve {out}: embedded null byte"
+    elif case == "empty":
+        out, message = "", "out: names no file"
+    elif case == "up-from-a-file":  # the OS looks the file up as a directory, so the .. does not cancel it
+        out, message = f"{tiny_corpus}/../x.json", f"out: runs through a file: {tiny_corpus}"
+    else:  # written through, into the directory the link's target needs
+        link.symlink_to(target)
+        out, message = str(link), None
+    train_model, seen = lm_harness.train_model, []
+
+    def checked(cfg, corpus):
+        seen.append(target.parent.is_dir())
+        return train_model(cfg, corpus)
+
+    monkeypatch.setattr(lm_harness, "train_model", checked)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ordering": "sf", "train": train_block(steps=2), "corpus": str(tiny_corpus),
+                                    "out": out}))
+    before = sorted(tmp_path.iterdir())
+    rc = main(["train", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert (rc, captured.err, seen) == (0, "", [True])
+        assert json.loads(target.read_text())["ordering"] == "sf"
+        return
+    assert (rc, seen, captured.out) == (2, [], "")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"config error: {message}")
+    assert case == "symlink-loop" or line == f"config error: {message}"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_report_file_that_is_a_directory_exits_2_before_any_work(tmp_path, tiny_corpus, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the report was written over a directory")
+
+    monkeypatch.setattr(lm_harness, "write_report", never)
+    p = _output_inputs(tmp_path, tiny_corpus)
+    taken = tmp_path / "reports" / "report.md"
+    taken.mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_output_config("report", p, str(taken.parent)), "formats": ["csv", "markdown"]}))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["report", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"config error: out_dir: writes {taken}, which is a directory"]
+    assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
+
+
 def test_capture_of_a_checkpoint_without_self_attention_exits_2_naming_it(tmp_path, tiny_corpus, capsys):
     ckpt, dump_path, cfg_path = tmp_path / "ff.ckpt", tmp_path / "d.jsonl", tmp_path / "c.json"
     cfg_path.write_text(json.dumps({

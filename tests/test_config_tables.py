@@ -81,13 +81,16 @@ def valid_config(command, files, tmp):
 
 
 def strings_for(key, files, tmp):
-    """The strings ``key`` may take: a path field names a valid input file or
-    no file (an output names no file), and any other field takes any text."""
+    """The strings ``key`` may take: a path field names a valid input file, no
+    file (an output names no file), nothing, or a path with a null byte, and
+    any other field takes any text."""
     valid = {
         "corpus": [files["corpus.txt"]], "checkpoint": [files["model.ckpt"]], "dumps": [files["dump.jsonl"]],
         "records": [files["results.jsonl"], "bundled-tables"], "out": [], "checkpoint_out": [], "out_dir": [],
     }
-    return st.sampled_from([*valid[key], str(tmp / "missing")]) if key in valid else st.text(max_size=8)
+    if key not in valid:
+        return st.text(max_size=8)
+    return st.sampled_from([*valid[key], str(tmp / "missing"), "", str(tmp / "nul\0l")])
 
 
 def nest(value, depth=200):
@@ -195,6 +198,16 @@ def test_readme_lists_every_config_field():
             assert f"`{key}`" in section, (command, key)
             for sub in spec if isinstance(spec, dict) else ():
                 assert f"`{sub}`" in section, (command, key, sub)
+
+
+def test_readme_file_rule_names_exactly_the_fields_it_checks():
+    section = readme_cli_section()
+    start = section.index("Every command follows one rule for the files")
+    paragraph = section[start : section.index("\n\n", start)]
+    fields = {key for table in cli.TABLES.values() for key in table} | {"--config"}
+    named = set(re.findall(r"`([^`]+)`", paragraph)) & fields
+    # formats picks the report files that out_dir gets
+    assert named == {"--config", *cli._INPUTS, *cli._OUTPUTS, "formats"}
 
 
 def test_the_train_table_is_the_train_templates_fields():
