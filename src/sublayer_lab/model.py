@@ -231,28 +231,12 @@ def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
     return model
 
 
-def count_params(
-    model: TransformerStack,
-    include_bias: bool = False,
-    include_embeddings: bool = False,
-) -> int:
-    """Exact parameter count.
-
-    With both flags off this is the sublayer weight-matrix total, equal to the
-    sum of per-kind 4d^2 / 8d^2 costs at the default ``ffn_inner``.
-    ``include_bias`` adds sublayer biases and per-sublayer norm parameters;
-    ``include_embeddings`` adds the token and positional tables plus the
-    untied output projection. The final norm's gain/bias count only when both
-    flags are on.
+def count_params(model: TransformerStack) -> int:
+    """The sublayer weight-matrix total: the sum of per-kind 4d^2 / 8d^2
+    costs at the default ``ffn_inner``. Biases, norms and embeddings are
+    left out; ``sum(p.data.size for p in model.parameters())`` counts them all.
     """
-
-    def total(tensors) -> int:
-        return sum(t.data.size for t in tensors if include_bias or t.ndim == 2)
-
-    count = sum(total(_field_values(p)) for p in model.sublayers)
-    if include_embeddings:
-        count += total(t for t in _field_values(model) if isinstance(t, Tensor))
-    return count
+    return sum(t.data.size for p in model.sublayers for t in _field_values(p) if t.ndim == 2)
 
 
 @functools.lru_cache(maxsize=32)

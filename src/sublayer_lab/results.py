@@ -120,14 +120,20 @@ def record_from_json_dict(doc: dict) -> TrialRecord:
             raise ValueError(f"record field 'loss_curve' holds {point!r}, not a [step, loss] pair")
         curve.append((point[0], typed(point[1], float, "a 'loss_curve' loss")))
     rec = TrialRecord(**{**values, "loss_curve": curve})
-    if abs(rec.valid_bpc - rec.valid_nats / math.log(2.0)) > 1e-9:
+    if not _agree(rec.valid_bpc, rec.valid_nats / math.log(2.0)):
         raise ValueError(f"record bpc inconsistent with nats: {doc}")
-    ppl = _perplexity(rec.valid_nats)
-    # the tolerance scales with the smaller value, so inf matches only inf
-    tol = 1e-9 * max(1.0, min(ppl, rec.valid_ppl))
-    if ppl != rec.valid_ppl and abs(rec.valid_ppl - ppl) > tol:
+    if not _agree(rec.valid_ppl, _perplexity(rec.valid_nats)):
         raise ValueError(f"record ppl inconsistent with nats: {doc}")
     return rec
+
+
+def _agree(got: float, want: float) -> bool:
+    """Whether a stored value matches the one derived from ``valid_nats``:
+    NaN matches only NaN and an infinity only itself; finite values agree
+    within 1e-9 times the smaller magnitude, and within 1e-9 below 1."""
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-9 * max(1.0, min(abs(got), abs(want)))
 
 
 def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:

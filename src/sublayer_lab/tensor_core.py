@@ -68,18 +68,11 @@ __all__ = [
     "buffer_pool",
     "backward",
     "add",
-    "sub",
-    "mul",
-    "scale",
     "matmul",
-    "relu",
-    "reshape",
     "swap_axes",
     "embedding",
     "slice_rows",
     "sum_all",
-    "mean_all",
-    "softmax_rows",
     "layer_norm",
     "cross_entropy_loss",
     "dropout",
@@ -317,32 +310,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_reduce_to_shape(g, a.data.shape), _reduce_to_shape(-g, b.data.shape)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (
-            _reduce_to_shape(g * b.data, a.data.shape),
-            _reduce_to_shape(g * a.data, b.data.shape),
-        ),
-    )
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-    return _record(out, (a,), lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; stacked (batched) operands broadcast like np.matmul."""
     if a.ndim < 2 or b.ndim < 2:
@@ -370,17 +337,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _reduce_to_shape(ga, a.data.shape), gb
 
     return _record(out, (a, b), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    out = Tensor(np.where(keep, a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * keep,))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
@@ -415,37 +371,6 @@ def slice_rows(a: Tensor, start: int, length: int) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
     return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.sum() / n)
-    return _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
-
-
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, stabilized by row-max subtraction.
-
-    ``mask`` is a boolean array broadcastable to ``x`` where True marks
-    positions allowed to receive mass; masked entries come out exactly 0.
-    Raises on any fully-masked row.
-    """
-    z = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax_rows: fully masked row")
-        z = np.where(mask, z, -np.inf)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
-
-    return _record(out, (x,), bwd)
 
 
 # added to the variance before its inverse square root

@@ -212,10 +212,10 @@ def test_hungarian_identity_on_zero_diagonal():
     assert perm == (0, 1, 2, 3) and total == 0.0
 
 
-def test_hungarian_lexicographic_ties():
+def test_hungarian_ties_break_to_the_first_index():
     assert aa.hungarian(np.ones((3, 3)))[0] == (0, 1, 2)
     assert aa.hungarian(np.zeros((2, 2)))[0] == (0, 1)
-    # two optima: (0,1) costs 1+1, (1,0) costs 1+1 -> pick lexicographic
+    # two optima, (0,1) and (1,0), both cost 1+1: row 0 takes the first column
     assert aa.hungarian([[1, 1], [1, 1]])[0] == (0, 1)
 
 

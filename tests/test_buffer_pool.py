@@ -24,6 +24,7 @@ from sublayer_lab.tensor_core import (
     buffer_pool,
     cross_entropy_loss,
 )
+from tape_ops import mul
 
 # (d, heads, context, batch): search-d16-w2's and train-d64's training shapes
 SHAPES = {"d16": (16, 2, 16, 4), "d64": (64, 4, 32, 8)}
@@ -160,7 +161,7 @@ def test_a_broadcast_add_allocates_its_sum_and_reduces_both_gradients(pool_every
     a0, b0, w = rng.normal(size=(3, 1)), rng.normal(size=4), Tensor(rng.normal(size=(3, 4)))
 
     def weighted_sum(a, b):
-        return tc.sum_all(tc.mul(tc.add(a, b), w))
+        return tc.sum_all(mul(tc.add(a, b), w))
 
     def run(pooled):
         a, b = Tensor(a0.copy()), Tensor(b0.copy())

@@ -786,6 +786,31 @@ def test_diverged_run_records_infinite_perplexity(bundled_corpus):
             lm.record_from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "nats, bpc, ppl, error",
+    [
+        (math.nan, math.nan, math.nan, None),  # a diverged run's record reads back
+        (math.nan, 5.0, 7.0, "bpc inconsistent"),
+        (1.5, math.nan, math.nan, "bpc inconsistent"),
+        (1.5, 1.5 / math.log(2.0), math.nan, "ppl inconsistent"),
+    ],
+)
+def test_record_nan_metrics_match_only_nan(nats, bpc, ppl, error):
+    rec = lm.TrialRecord.build(
+        ordering="sf", sandwich_k=-1, seed=0, loss_curve=[], valid_nats=1.0,
+        param_count=768, wall_clock_s=0.0,
+    )
+    doc = lm.record_to_json_dict(rec)
+    doc.update(valid_nats=nats, valid_bpc=bpc, valid_ppl=ppl)
+    doc = json.loads(json.dumps(doc))
+    if error is None:
+        back = lm.record_from_json_dict(doc)
+        assert all(math.isnan(v) for v in (back.valid_nats, back.valid_bpc, back.valid_ppl))
+    else:
+        with pytest.raises(ValueError, match=error):
+            lm.record_from_json_dict(doc)
+
+
 # -- half-split analysis -----------------------------------------------------------------
 
 
@@ -977,6 +1002,7 @@ def _with(**fields):
         (_with(index=1.5), "line 3: record field 'index' must be a JSON int"),
         (_with(index=True), "line 3: record field 'index' must be a JSON int"),
         (_with(index=-1), "line 3: trial index must be >= 0"),
+        (_with(valid_nats=math.nan), "line 3: record bpc inconsistent with nats"),
     ],
 )
 def test_read_results_fails_closed_naming_the_line(tmp_path, edit, message):

@@ -91,24 +91,9 @@ def test_count_params_hand_cases():
     assert count_params(m2) == 4 * (4 * 64) + 2 * (8 * 64) == 2048
 
 
-def test_count_params_flags_exact():
-    cfg = small_config("sf")
-    m = build_model(cfg, 0)
-    d = cfg.d
-    sub_bias = (4 * d + 2 * d) + (cfg.ffn_inner + d + 2 * d)  # s biases+norm, f biases+norm
-    emb = cfg.vocab * d + cfg.context * d  # tied: no output projection
-    assert count_params(m, include_bias=True) == 768 + sub_bias
-    assert count_params(m, include_embeddings=True) == 768 + emb
-    assert count_params(m, True, True) == 768 + sub_bias + emb + 2 * d
-
-    untied = build_model(small_config("sf", tie_embeddings=False), 0)
-    assert count_params(untied, include_embeddings=True) == 768 + emb + d * cfg.vocab
-
-
 def test_count_params_counts_the_actual_ffn_inner_width():
     m = build_model(small_config("sf", ffn_inner=12), 0)
     assert count_params(m) == 4 * 64 + 2 * 8 * 12 == 448
-    assert count_params(m, include_bias=True) == 448 + (4 * 8 + 2 * 8) + (12 + 8 + 2 * 8)
 
 
 def test_param_equivalence_across_reorderings():
@@ -458,8 +443,7 @@ def test_checkpoint_round_trip_over_layouts(case, tmp_path):
     assert loaded.config == m.config
     for a, b in zip(m.parameters(), loaded.parameters(), strict=True):
         assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
-    for flags in ((False, False), (False, True), (True, False), (True, True)):
-        assert count_params(loaded, *flags) == count_params(m, *flags)
+    assert count_params(loaded) == count_params(m)
     _assert_one_buffer(m)
     _assert_one_buffer(loaded)
     if m.config.ordering.decoder_mode:

@@ -1,9 +1,12 @@
+import ast
 import gc
 import inspect
 import math
+import re
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +25,10 @@ from sublayer_lab.tensor_core import (
     finite_difference_check,
     layer_norm,
     matmul,
-    mean_all,
-    mul,
     no_grad,
-    relu,
-    softmax_rows,
     sum_all,
 )
+from tape_ops import mean_all, mul, relu, reshape, scale, softmax_rows, sub
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -320,7 +320,7 @@ def quadratic_bowl_minimize(target, steps, lr=0.05):
     loss_value = math.inf
     for _ in range(steps):
         with Tape() as tape:
-            diff = tc.sub(x, Tensor(target))
+            diff = sub(x, Tensor(target))
             loss = sum_all(mul(diff, diff))
         backward(loss, tape)
         adam_step([x], state)
@@ -465,12 +465,12 @@ def test_every_op_passes_fd_sweep():
 
         cases = {
             "add": lambda x: sum_all(mul(tc.add(x, other), pick)),
-            "sub": lambda x: sum_all(mul(tc.sub(x, other), pick)),
+            "sub": lambda x: sum_all(mul(sub(x, other), pick)),
             "mul": lambda x: sum_all(mul(mul(x, other), pick)),
-            "scale": lambda x: sum_all(mul(tc.scale(x, -1.7), pick)),
+            "scale": lambda x: sum_all(mul(scale(x, -1.7), pick)),
             "matmul": lambda x: sum_all(mul(matmul(x, w), square)),
             "relu": lambda x: sum_all(mul(relu(x), pick)),
-            "reshape": lambda x: sum_all(mul(tc.reshape(x, (cols, rows)), Tensor(pick.data.T.copy()))),
+            "reshape": lambda x: sum_all(mul(reshape(x, (cols, rows)), Tensor(pick.data.T.copy()))),
             "swap_axes": lambda x: sum_all(mul(tc.swap_axes(x, 0, 1), Tensor(pick.data.T.copy()))),
             "embedding": lambda x: sum_all(tc.embedding(x, ids)),
             "slice_rows": lambda x: sum_all(tc.slice_rows(x, 1, rows - 1)),
@@ -529,18 +529,18 @@ def _reference_attention(xq, xkv, ws, heads, mask):
 
     def split(x):
         *batch, t, d = x.shape
-        return tc.swap_axes(tc.reshape(x, (*batch, t, heads, d // heads)), -2, -3)
+        return tc.swap_axes(reshape(x, (*batch, t, heads, d // heads)), -2, -3)
 
     def merge(x):
         x = tc.swap_axes(x, -2, -3)
         *batch, t, h, hd = x.shape
-        return tc.reshape(x, (*batch, t, h * hd))
+        return reshape(x, (*batch, t, h * hd))
 
     d = xq.shape[-1]
     q = split(tc.add(matmul(xq, wq), bq))
     k = split(tc.add(matmul(xkv, wk), bk))
     v = split(tc.add(matmul(xkv, wv), bv))
-    scores = tc.scale(matmul(q, tc.swap_axes(k, -1, -2)), 1.0 / math.sqrt(d // heads))
+    scores = scale(matmul(q, tc.swap_axes(k, -1, -2)), 1.0 / math.sqrt(d // heads))
     probs = softmax_rows(scores, mask)
     out = tc.add(matmul(merge(matmul(probs, v)), wo), bo)
     return out, probs.data
@@ -1005,3 +1005,45 @@ def test_a_tape_open_in_one_thread_does_not_record_another_threads_ops():
         worker.join()
         assert tc._LOCAL.tapes == [tape]
     assert seen == [([], None, None)] and tape.nodes == [] and tc._LOCAL.tapes == []
+
+
+# -- public surface ---------------------------------------------------------------------
+
+
+def _names_taken_from_tensor_core(path: Path) -> set[str]:
+    """Names a module imports from ``tensor_core`` or reads as attributes of
+    the module itself, found by parsing: a name in a string does not count."""
+    names, aliases = set(), set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.module or "").split(".")[-1] == "tensor_core":
+            names.update(a.name for a in node.names)
+        else:  # from . import tensor_core [as tc]
+            aliases.update(a.asname or a.name for a in node.names if a.name == "tensor_core")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_tensor_core_name_is_used_or_documented():
+    """What ``tensor_core`` exports is run by another package module, imported
+    by the acceptance tests, or named in backticks in README: an op that only
+    tests call belongs with the tests."""
+    root = Path(tc.__file__).resolve().parent
+    used = _names_taken_from_tensor_core(Path(__file__).parent / "test_acceptance.py")
+    for path in root.glob("*.py"):
+        if path.name != "tensor_core.py":
+            used |= _names_taken_from_tensor_core(path)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    spans = [
+        span for line in readme.splitlines() if not line.lstrip().startswith("```")
+        for span in re.findall(r"`([^`]+)`", line)
+    ]
+    unused = [
+        name for name in tc.__all__
+        if name not in used and not any(re.search(rf"\b{name}\b", span) for span in spans)
+    ]
+    assert unused == []
