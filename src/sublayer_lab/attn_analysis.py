@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from ._json import loads, typed
-from .model import AttentionCapture, TransformerStack, forward
+from .model import TransformerStack, forward
 from .tensor_core import no_grad
 
 __all__ = [
@@ -85,20 +85,22 @@ class AttentionDump:
 def capture(model: TransformerStack, tokens, model_id: str = "") -> AttentionDump:
     """Run inference on one token sequence recording every self-attention map.
 
-    Cross-attention sublayers are excluded from the dump.
+    Raises ``ValueError`` for a model without self-attention sublayers.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise ValueError("capture expects a single 1-d token sequence")
-    sink = AttentionCapture()
+    maps: list[np.ndarray] = []
     with no_grad():
-        forward(model, tokens, capture=sink)
+        forward(model, tokens, capture=maps)
+    if not maps:
+        raise ValueError("no self-attention sublayers were captured")
     return AttentionDump(
         model_id=model_id,
         ordering=str(model.config.ordering),
         heads=model.config.heads,
         t=int(tokens.size),
-        probs=sink.self_attention_stack(),
+        probs=np.stack(maps),
     )
 
 

@@ -254,16 +254,16 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _resolve_corpus(cfg: dict, errors: list[str]) -> lm_harness.Corpus | None:
-    raw, fractions = cfg["corpus"], cfg["split_fractions"]
-    if fractions is not None and len(fractions) != 3:
-        errors.append("split_fractions: expected a list of 3 numbers")
-        return None
-    if raw is None or fractions is None:
-        return None
+    raw, fractions = cfg["corpus"], cfg["split_fractions"]  # a failed fractions check leaves the default
+    key = "split_fractions"
     try:
-        return lm_harness.load_corpus(_file("corpus", raw), tuple(fractions))
-    except ValueError as e:  # a fault of the fractions says so; else it is the file's
-        errors.append(f"{'split_fractions' if 'fraction' in str(e) else 'corpus'}: {e}")
+        if len(fractions) != 3:
+            raise ValueError("expected a list of 3 numbers")
+        fractions = lm_harness.check_split_fractions(fractions)
+        key = "corpus"  # the fractions passed, so a fault from here on is the file's
+        return None if raw is None else lm_harness.load_corpus(_file("corpus", raw), fractions)
+    except ValueError as e:
+        errors.append(f"{key}: {e}")
         return None
 
 

@@ -72,6 +72,7 @@ __all__ = [
     "Corpus",
     "load_corpus",
     "load_corpus_text",
+    "check_split_fractions",
     "bundled_corpus_path",
     "TrainConfig",
     "TrainTemplate",
@@ -155,12 +156,7 @@ def load_corpus_text(
 ) -> Corpus:
     if not text:
         raise ValueError("corpus text is empty")
-    fr = tuple(split_fractions)
-    # each test passes only for good values, since a comparison with NaN is False
-    if len(fr) != 3 or not all(f >= 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
-        raise ValueError(f"split fractions must be 3 non-negatives summing to 1, got {fr}")
-    if fr[0] <= 0:
-        raise ValueError("train fraction must be positive")
+    fr = check_split_fractions(split_fractions)
     n = len(text)
     i1 = int(n * fr[0])
     i2 = i1 + int(n * fr[1])
@@ -181,6 +177,18 @@ def load_corpus_text(
     corpus.valid_ids = corpus.encode(valid)
     corpus.test_ids = corpus.encode(test)
     return corpus
+
+
+def check_split_fractions(split_fractions: Sequence[float]) -> tuple[float, ...]:
+    """The fractions as a tuple; ``ValueError`` unless they are 3 non-negatives
+    summing to 1 with a positive train fraction."""
+    fr = tuple(split_fractions)
+    # each test passes only for good values, since a comparison with NaN is False
+    if len(fr) != 3 or not all(f >= 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
+        raise ValueError(f"split fractions must be 3 non-negatives summing to 1, got {fr}")
+    if fr[0] <= 0:
+        raise ValueError("train fraction must be positive")
+    return fr
 
 
 def load_corpus(path, split_fractions: Sequence[float] = (0.8, 0.1, 0.1)) -> Corpus:
@@ -324,8 +332,8 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     on)`` threads, the caller being thread 0: thread ``k`` scores chunks
     ``k, k + T, ...`` under its own ``no_grad()``. The chunk sums are added
     in chunk order, so the result is bitwise that of one thread. Each thread
-    keeps the per-slice bound, so at most ``T`` slices, and ``T`` chunks'
-    logits, are in memory at once. A stream of one chunk starts no thread.
+    keeps the per-slice bound, so at most ``T`` slices are in memory at
+    once. A stream of one chunk starts no thread.
 
     Raises ``ValueError`` before any work for a ``context`` outside
     ``[1, model.config.context]``, a stream of fewer than 2 characters, or a
@@ -389,18 +397,19 @@ def _cpu_count() -> int:
 
 def _chunk_nll(model: TransformerStack, w: np.ndarray, step: int) -> float:
     """Summed NLL of the windows ``w``, forwarded in slices of ``step`` windows."""
-    logits = [forward(model, w[j : j + step, :-1]).data for j in range(0, len(w), step)]
-    # under no_grad nothing else holds a forward's logits, so one slice's are scored in place
-    return _nll_sum(logits[0] if len(logits) == 1 else np.concatenate(logits), w[:, 1:])
+    # under no_grad nothing else holds a forward's logits, so each slice's are scored in place
+    slices = range(0, len(w), step)
+    nlls = [_target_nlls(forward(model, w[j : j + step, :-1]).data, w[j : j + step, 1:]) for j in slices]
+    return float(np.concatenate(nlls).sum())
 
 
-def _nll_sum(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Summed NLL of ``targets`` under ``logits``, which it overwrites."""
+def _target_nlls(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The NLL of each of ``targets`` under ``logits``, which it overwrites."""
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
     m = logits.max(axis=-1, keepdims=True)
     np.exp(np.subtract(logits, m, out=logits), out=logits)
     lse = np.log(logits.sum(axis=-1)) + m[..., 0]
-    return float((lse - picked).sum())
+    return lse - picked
 
 
 # ---------------------------------------------------------------------------

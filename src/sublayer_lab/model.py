@@ -47,7 +47,6 @@ __all__ = [
     "AttentionParams",
     "FeedforwardParams",
     "TransformerStack",
-    "AttentionCapture",
     "build_model",
     "count_params",
     "self_attention_sublayer",
@@ -125,60 +124,24 @@ class FeedforwardParams:
     norm_bias: Tensor
 
 
-SublayerParams = AttentionParams | FeedforwardParams
-
-
 @dataclass
 class TransformerStack:
     config: ModelConfig
     token_embedding: Tensor  # [vocab, d]
     positional_embedding: Tensor  # [context, d]
-    sublayers: list[SublayerParams]  # kinds follow config.ordering exactly
+    sublayers: list[AttentionParams | FeedforwardParams]  # kinds follow config.ordering exactly
     final_gain: Tensor
     final_bias: Tensor
     output_projection: Tensor | None  # None when tied to the token embedding
 
     def parameters(self) -> list[Tensor]:
-        """All trainable tensors in declaration order (checkpoint order): the
-        stack's fields, with each sublayer's fields in place of ``sublayers``."""
-        out = []
-        for value in _field_values(self):
-            if isinstance(value, list):
-                for p in value:
-                    out += _field_values(p)
-            elif isinstance(value, Tensor):
-                out.append(value)
-        return out
-
-
-def _field_values(obj) -> list:
-    return [getattr(obj, f.name) for f in fields(obj)]
-
-
-class AttentionCapture:
-    """Collects post-softmax attention weights emitted during one forward pass.
-
-    Entries are ``(kind_char, probs)`` with probs shaped [heads, t, m]
-    (m == t for self-attention).
-    """
-
-    def __init__(self):
-        self.records: list[tuple[str, np.ndarray]] = []
-
-    def add(self, kind: str, probs: np.ndarray) -> None:
-        self.records.append((kind, probs.copy()))
-
-    def self_attention_stack(self) -> np.ndarray:
-        """[s_count, heads, t, t] array of the captured self-attention maps."""
-        maps = [p for kind, p in self.records if kind == "s"]
-        if not maps:
-            raise ValueError("no self-attention sublayers were captured")
-        return np.stack(maps)
+        """All trainable tensors in :func:`_layout` order (checkpoint order)."""
+        return [getattr(self if i is None else self.sublayers[i], name) for i, name, _ in _layout(self.config)]
 
 
 def _layout(config: ModelConfig):
     """Yield ``(sublayer index or None, field name, shape)`` for every parameter
-    in declaration order, which is parameters() order and checkpoint order."""
+    in the one order that parameters(), initialisation and checkpoints use."""
     d, inner = config.d, config.ffn_inner
     yield None, "token_embedding", (config.vocab, d)
     yield None, "positional_embedding", (config.context, d)
@@ -217,7 +180,7 @@ def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
     """Initialize a stack over one flat buffer; matrices are scaled-uniform,
     biases zero, gains one.
 
-    Deterministic for a given seed: matrices are drawn in declaration order.
+    Deterministic for a given seed: matrices are drawn in :func:`_layout` order.
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     model = _assemble(config, np.zeros(_param_floats(config)))
@@ -236,7 +199,7 @@ def count_params(model: TransformerStack) -> int:
     costs at the default ``ffn_inner``. Biases, norms and embeddings are
     left out; ``sum(p.data.size for p in model.parameters())`` counts them all.
     """
-    return sum(t.data.size for p in model.sublayers for t in _field_values(p) if t.ndim == 2)
+    return sum(math.prod(shape) for i, _, shape in _layout(model.config) if i is not None and len(shape) == 2)
 
 
 @functools.lru_cache(maxsize=32)
@@ -257,11 +220,11 @@ def _residual(x, inner, p, pre_norm, drop_rate, drop_rng):
     return add(x, out) if pre_norm else layer_norm(add(x, out), p.norm_gain, p.norm_bias)
 
 
-def _attention_sublayer(x, memory, p, heads, capture, pre_norm, drop_rate, drop_rng):
+def _attention_sublayer(x, memory, p, heads, hook, pre_norm, drop_rate, drop_rng):
     """Causal self-attention over ``x`` when ``memory`` is None, else
-    unmasked cross-attention from ``x`` to ``memory``."""
-    kind, mask = ("s", _causal_mask(x.shape[-2])) if memory is None else ("c", None)
-    hook = None if capture is None else lambda probs: capture.add(kind, probs)
+    unmasked cross-attention from ``x`` to ``memory``; ``hook``, when given,
+    receives the post-softmax probabilities."""
+    mask = _causal_mask(x.shape[-2]) if memory is None else None
 
     def inner(h):
         kv = h if memory is None else memory
@@ -274,13 +237,15 @@ def self_attention_sublayer(
     x: Tensor,
     p: AttentionParams,
     heads: int,
-    capture: AttentionCapture | None = None,
+    capture: list | None = None,
     pre_norm: bool = True,
     drop_rate: float = 0.0,
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Residual causal multi-head self-attention over [..., t, d]."""
-    return _attention_sublayer(x, None, p, heads, capture, pre_norm, drop_rate, drop_rng)
+    """Residual causal multi-head self-attention over [..., t, d]; ``capture``,
+    when given, gets the [..., heads, t, t] post-softmax map appended."""
+    hook = None if capture is None else capture.append
+    return _attention_sublayer(x, None, p, heads, hook, pre_norm, drop_rate, drop_rng)
 
 
 def cross_attention_sublayer(
@@ -288,7 +253,6 @@ def cross_attention_sublayer(
     memory: Tensor,
     p: AttentionParams,
     heads: int,
-    capture: AttentionCapture | None = None,
     pre_norm: bool = True,
     drop_rate: float = 0.0,
     drop_rng: np.random.Generator | None = None,
@@ -296,7 +260,7 @@ def cross_attention_sublayer(
     """Residual cross-attention: queries from y, keys/values from memory."""
     if memory.shape[-2] < 1:
         raise ValueError("cross-attention memory must be non-empty")
-    return _attention_sublayer(y, memory, p, heads, capture, pre_norm, drop_rate, drop_rng)
+    return _attention_sublayer(y, memory, p, heads, None, pre_norm, drop_rate, drop_rng)
 
 
 def feedforward_sublayer(
@@ -317,13 +281,15 @@ def feedforward_sublayer(
 def forward(
     model: TransformerStack,
     tokens: np.ndarray,
-    capture: AttentionCapture | None = None,
+    capture: list | None = None,
     memory: Tensor | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Token ids [t] or [batch, t] -> logits [t, vocab] or [batch, t, vocab].
 
     Decoder orderings (containing `c`) additionally require ``memory``.
+    ``capture``, when given, gets each `s` sublayer's post-softmax map
+    appended in order (see :func:`self_attention_sublayer`).
     Inverted dropout at ``config.dropout`` applies to each residual branch
     only when ``dropout_rng`` is passed (training); inference omits it.
     """
@@ -347,7 +313,7 @@ def forward(
         elif memory is None:
             raise ValueError("ordering contains 'c' but no memory was provided")
         else:
-            x = cross_attention_sublayer(x, memory, p, cfg.heads, capture, *wiring)
+            x = cross_attention_sublayer(x, memory, p, cfg.heads, *wiring)
     if cfg.pre_norm:
         x = layer_norm(x, model.final_gain, model.final_bias)
     if model.output_projection is not None:

@@ -145,8 +145,9 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
     Every other defect raises ``ValueError`` naming the line: an unparseable
     line with content after it, a line that is not a JSON object, a ``kind``
     other than ``header`` or ``trial``, a header anywhere but line 1, a trial
-    before the header, and a trial that is not a valid record or repeats an
-    index.
+    before the header, and a trial of another format version, that is not a
+    valid record or that repeats an index. A header's version is left to the
+    caller: a resume names it as a mismatch.
     """
     if not os.path.exists(path):
         return None, {}, 0
@@ -178,6 +179,8 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
         elif kind == "trial":
             if header is None:
                 raise ValueError(f"results line {lineno}: a trial before the header")
+            if doc.get("v") != RESULTS_VERSION:
+                raise ValueError(f"results line {lineno}: format version {doc.get('v')!r}, expected {RESULTS_VERSION}")
             try:
                 rec = record_from_json_dict(doc)
             except ValueError as exc:
@@ -194,8 +197,11 @@ def _scan_results(path) -> tuple[dict | None, dict[int, TrialRecord], int]:
 
 
 def read_results(path) -> list[TrialRecord]:
-    """Load trial records from a results file, sorted by index."""
-    _, records, _ = _scan_results(path)
+    """Load trial records from a results file, sorted by index; a header of
+    another format version raises ``ValueError``."""
+    header, records, _ = _scan_results(path)
+    if header is not None and header.get("v") != RESULTS_VERSION:
+        raise ValueError(f"results line 1: format version {header.get('v')!r}, expected {RESULTS_VERSION}")
     return [records[i] for i in sorted(records)]
 
 

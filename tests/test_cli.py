@@ -374,6 +374,19 @@ def test_unusable_splits_exit_2_before_training(tmp_path, command, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "corpus.txt"]
 
 
+@pytest.mark.parametrize("name", ["corpus.txt", "fractions.txt"])
+def test_an_empty_corpus_file_is_named_under_corpus_whatever_its_name(tmp_path, capsys, name):
+    corpus = tmp_path / name
+    corpus.write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "ordering": "sf", "train": train_block(), "corpus": str(corpus), "out": str(tmp_path / "rec.json"),
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: corpus: corpus file is empty: {corpus}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", name]
+
+
 @pytest.mark.parametrize(
     "damage",
     [

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from sublayer_lab import arch_dsl, results
-from sublayer_lab.attn_analysis import emd_1d
+from sublayer_lab.attn_analysis import capture, emd_1d
 from sublayer_lab.arch_dsl import parse_ordering
 from sublayer_lab.cli import main
-from sublayer_lab.model import AttentionCapture, ModelConfig, build_model, cross_attention_sublayer
+from sublayer_lab.model import ModelConfig, build_model, cross_attention_sublayer
 from sublayer_lab.tensor_core import Tensor, cross_entropy_loss
 
 
@@ -41,9 +41,10 @@ def test_sample_permutation_rejects_a_negative_count():
         arch_dsl.sample_permutation(-1, 2, 0)
 
 
-def test_self_attention_stack_of_an_empty_capture_raises():
+def test_capture_of_a_model_without_self_attention_raises():
+    model = build_model(ModelConfig(d=8, heads=2, vocab=11, context=8, ordering=parse_ordering("ff")), 1)
     with pytest.raises(ValueError, match="no self-attention sublayers were captured"):
-        AttentionCapture().self_attention_stack()
+        capture(model, np.arange(4))
 
 
 def test_cross_attention_rejects_an_empty_memory():

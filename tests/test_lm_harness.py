@@ -163,7 +163,7 @@ def one_forward_per_chunk(model, stream, context):
         for group in (full, tail):
             for off in range(0, len(group), 64):
                 w = np.stack(group[off : off + 64])
-                total += lm._nll_sum(forward(model, w[:, :-1]).data, w[:, 1:])
+                total += float(lm._target_nlls(forward(model, w[:, :-1]).data, w[:, 1:]).sum())
                 chars += w[:, 1:].size
     return total / chars
 
@@ -207,9 +207,9 @@ def test_evaluate_memory_is_bounded_by_its_slices(bundled_corpus, monkeypatch):
         finally:
             tracemalloc.stop()
         assert nats == expected
-        # one forward over all 64 windows peaks at about 24 MB; a thread's slices
-        # of 4 and its chunk's logits at about 5 MB, so two threads stay under 12 MB
-        assert peak < 12e6, peak
+        # one forward over all 64 windows peaks at about 24 MB; a thread's slice
+        # of 4 windows, scored in place, at about 1.7 MB, so two threads stay under 6 MB
+        assert peak < 6e6, peak
 
 
 def _chunked_stream(corpus, chunks: int) -> np.ndarray:
@@ -318,7 +318,8 @@ def test_a_one_chunk_stream_starts_no_thread(monkeypatch):
     assert seen == [(threading.current_thread(), before)]
 
 
-def test_a_chunk_of_one_slice_is_scored_on_the_forwards_own_logits(monkeypatch):
+@pytest.mark.parametrize("per_slice, slices", [(64, 3), (7, 12)], ids=["one_slice_a_chunk", "several_slices_a_chunk"])
+def test_every_slice_is_scored_on_the_forwards_own_logits(monkeypatch, per_slice, slices):
     corpus = lm.load_corpus_text(TINY_TEXT)
     cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
                       ordering=parse_ordering("sf"))
@@ -326,23 +327,24 @@ def test_a_chunk_of_one_slice_is_scored_on_the_forwards_own_logits(monkeypatch):
     stream = corpus.train_ids[: 66 * 5 + 1 + 3]  # chunks of 64 and 2 full windows, then a tail
     expected = one_forward_per_chunk(model, stream, 5)
     widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
-    monkeypatch.setattr(lm, "EVAL_FLOATS", 64 * 5 * widest)  # slices of 64 windows: one per chunk
+    monkeypatch.setattr(lm, "EVAL_FLOATS", per_slice * 5 * widest)
     monkeypatch.setattr(lm, "_cpu_count", lambda: 1)
-    outputs, scored, nll_sum = [], [], lm._nll_sum
+    outputs, scored, target_nlls = [], [], lm._target_nlls
 
     def spied_forward(model, tokens):
         out = forward(model, tokens)
         outputs.append(out.data)
         return out
 
-    def spied_nll_sum(logits, targets):
+    def spied_target_nlls(logits, targets):
         scored.append(logits)
-        return nll_sum(logits, targets)
+        return target_nlls(logits, targets)
 
     monkeypatch.setattr(lm, "forward", spied_forward)
-    monkeypatch.setattr(lm, "_nll_sum", spied_nll_sum)
+    monkeypatch.setattr(lm, "_target_nlls", spied_target_nlls)
     assert lm.evaluate(model, stream, 5) == expected
-    assert len(scored) == len(outputs) == 3
+    # slices of 64 windows are one per chunk; slices of 7 are 10 for the chunk of 64
+    assert len(scored) == len(outputs) == slices
     assert all(a is b for a, b in zip(scored, outputs))
 
 
@@ -1003,11 +1005,23 @@ def _with(**fields):
         (_with(index=True), "line 3: record field 'index' must be a JSON int"),
         (_with(index=-1), "line 3: trial index must be >= 0"),
         (_with(valid_nats=math.nan), "line 3: record bpc inconsistent with nats"),
+        (_with(v=99), "line 3: format version 99, expected 1"),
     ],
 )
 def test_read_results_fails_closed_naming_the_line(tmp_path, edit, message):
     path, _ = _results_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
+        lm.read_results(path)
+
+
+@pytest.mark.parametrize("edited, line", [((0,), 1), ((0, 1, 2), 2)], ids=["header", "every_line"])
+def test_read_results_rejects_a_file_of_another_format_version(tmp_path, edited, line):
+    path, _ = _results_file(tmp_path)
+    docs = [json.loads(text) for text in path.read_text().splitlines()]
+    for i in edited:
+        docs[i]["v"] = 99
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    with pytest.raises(ValueError, match=f"results line {line}: format version 99, expected 1"):
         lm.read_results(path)
 
 
