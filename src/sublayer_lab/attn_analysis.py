@@ -360,15 +360,6 @@ def _oriented_costs(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return np.where(use_t[:, None, None], cost_t, cost)
 
 
-def _cell_costs(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Head-to-head EMD costs of every (sublayer, token) cell, canonically oriented.
-
-    ``pa`` and ``pb`` are ``[layers, H, t, t]``; returns the ``[layers * t, H, H]``
-    stack that :func:`_pair_minima` solves for this pair.
-    """
-    return _oriented_costs(_cdfs(pa), _cdfs(pb))
-
-
 def _pair_minima(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[list[float]]:
     """Every cell's minimum matching cost, per ``(cdfs_a, cdfs_b)`` pair.
 

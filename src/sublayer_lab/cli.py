@@ -399,6 +399,9 @@ def _cmd_search(args) -> int:
         errors.append("n_s: permutation mode needs n_s + n_f >= 1")
     if mode == "budgeted" and cfg["budget"] < 1:
         errors.append("budget: budgeted mode needs budget >= 1")
+    # the other mode's sizes would be ignored, and the results header would not hold them
+    unused = {"permutation": ("budget",), "budgeted": ("n_s", "n_f")}.get(mode, ())
+    errors += [f"{key}: {mode} mode takes no {key}, got {cfg[key]}" for key in unused if cfg[key]]
     corpus = _training_inputs(cfg, errors)
     _raise_if(errors)
     _make_dirs(dirs)
@@ -522,6 +525,8 @@ def _cmd_analyze_halves(args) -> int:
             if cfg["include_baselines"] or not r["baseline"]
         ]
     elif records_path is not None:
+        if cfg["include_baselines"]:
+            errors.append("include_baselines: applies to bundled-tables only, not to a results file")
         field = metric_field or "valid_ppl"
         rows = [(rec.ordering, getattr(rec, field, None)) for rec in results.read_results(records_path)]
     try:

@@ -49,15 +49,7 @@ from .arch_dsl import (
     sandwich,
 )
 from .model import ModelConfig, TransformerStack, build_model, count_params, forward
-from .results import (  # the record and reader are re-exported from here
-    ResumeMismatch,
-    TrialRecord,
-    append_record,
-    open_results,
-    read_results,
-    record_from_json_dict,
-    record_to_json_dict,
-)
+from .results import TrialRecord, append_record, open_results
 from .tensor_core import (
     OptimizerState,
     Tape,
@@ -76,7 +68,6 @@ __all__ = [
     "bundled_corpus_path",
     "TrainConfig",
     "TrainTemplate",
-    "TrialRecord",
     "SearchConfig",
     "derive_seed",
     "train_model",
@@ -87,10 +78,6 @@ __all__ = [
     "HalfSplitReport",
     "analyze_halves",
     "DEFAULT_REFERENCE_THRESHOLD",
-    "record_to_json_dict",
-    "record_from_json_dict",
-    "read_results",
-    "ResumeMismatch",
     "render_csv",
     "render_markdown",
     "render_svg",
@@ -117,17 +104,22 @@ class Corpus:
     """Contiguous train/valid/test character streams with a train-only charset.
 
     Characters absent from the train split map to a reserved unknown id, so
-    ``vocab_size == len(charset) + 1``.
+    ``vocab_size == len(charset) + 1``. The three id arrays are the texts
+    through :meth:`encode`, set on construction.
     """
 
     train_text: str
     valid_text: str
     test_text: str
     charset: tuple[str, ...]
-    char_to_id: dict[str, int]
-    train_ids: np.ndarray = field(repr=False)
-    valid_ids: np.ndarray = field(repr=False)
-    test_ids: np.ndarray = field(repr=False)
+    train_ids: np.ndarray = field(init=False, repr=False)
+    valid_ids: np.ndarray = field(init=False, repr=False)
+    test_ids: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.train_ids = self.encode(self.train_text)
+        self.valid_ids = self.encode(self.valid_text)
+        self.test_ids = self.encode(self.test_text)
 
     @property
     def unknown_id(self) -> int:
@@ -161,22 +153,7 @@ def load_corpus_text(
     i1 = int(n * fr[0])
     i2 = i1 + int(n * fr[1])
     train, valid, test = text[:i1], text[i1:i2], text[i2:]
-    charset = tuple(sorted(set(train)))
-    char_to_id = {c: i for i, c in enumerate(charset)}
-    corpus = Corpus(
-        train_text=train,
-        valid_text=valid,
-        test_text=test,
-        charset=charset,
-        char_to_id=char_to_id,
-        train_ids=np.empty(0, dtype=np.int64),
-        valid_ids=np.empty(0, dtype=np.int64),
-        test_ids=np.empty(0, dtype=np.int64),
-    )
-    corpus.train_ids = corpus.encode(train)
-    corpus.valid_ids = corpus.encode(valid)
-    corpus.test_ids = corpus.encode(test)
-    return corpus
+    return Corpus(train, valid, test, charset=tuple(sorted(set(train))))
 
 
 def check_split_fractions(split_fractions: Sequence[float]) -> tuple[float, ...]:

@@ -21,6 +21,7 @@ import math
 import numbers
 import os
 import struct
+import types
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,8 +45,6 @@ from .tensor_core import (
 
 __all__ = [
     "ModelConfig",
-    "AttentionParams",
-    "FeedforwardParams",
     "TransformerStack",
     "build_model",
     "count_params",
@@ -99,37 +98,11 @@ class ModelConfig:
 
 
 @dataclass
-class AttentionParams:
-    """Self- or cross-attention sublayer: four d x d projections + norm."""
-
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    bq: Tensor
-    bk: Tensor
-    bv: Tensor
-    bo: Tensor
-    norm_gain: Tensor
-    norm_bias: Tensor
-
-
-@dataclass
-class FeedforwardParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    norm_gain: Tensor
-    norm_bias: Tensor
-
-
-@dataclass
 class TransformerStack:
     config: ModelConfig
     token_embedding: Tensor  # [vocab, d]
     positional_embedding: Tensor  # [context, d]
-    sublayers: list[AttentionParams | FeedforwardParams]  # kinds follow config.ordering exactly
+    sublayers: list[types.SimpleNamespace]  # one per config.ordering kind, its _layout names as attributes
     final_gain: Tensor
     final_bias: Tensor
     output_projection: Tensor | None  # None when tied to the token embedding
@@ -140,8 +113,9 @@ class TransformerStack:
 
 
 def _layout(config: ModelConfig):
-    """Yield ``(sublayer index or None, field name, shape)`` for every parameter
-    in the one order that parameters(), initialisation and checkpoints use."""
+    """Yield ``(sublayer index or None, name, shape)`` for every parameter in
+    the one order that parameters(), initialisation and checkpoints use; the
+    only statement of the parameters' names and shapes."""
     d, inner = config.d, config.ffn_inner
     yield None, "token_embedding", (config.vocab, d)
     yield None, "positional_embedding", (config.context, d)
@@ -163,17 +137,14 @@ def _param_floats(config: ModelConfig) -> int:
 
 
 def _assemble(config: ModelConfig, flat: np.ndarray) -> TransformerStack:
-    """A stack whose tensors are consecutive views into ``flat``, laid out by :func:`_layout`."""
+    """A stack whose tensors are consecutive views into ``flat``, laid out by
+    :func:`_layout`; each sublayer is a namespace of its layout names."""
     own: dict[str, Tensor | None] = {"output_projection": None}
     subs: list[dict[str, Tensor]] = [{} for _ in config.ordering.kinds]
     layout = list(_layout(config))
     for (i, name, _), a in zip(layout, tile(flat, [shape for *_, shape in layout])):
         (own if i is None else subs[i])[name] = Tensor(a)
-    sublayers = [
-        (FeedforwardParams if kind is SublayerKind.FEEDFORWARD else AttentionParams)(**views)
-        for kind, views in zip(config.ordering.kinds, subs)
-    ]
-    return TransformerStack(config=config, sublayers=sublayers, **own)
+    return TransformerStack(config=config, sublayers=[types.SimpleNamespace(**views) for views in subs], **own)
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> TransformerStack:
@@ -235,7 +206,7 @@ def _attention_sublayer(x, memory, p, heads, hook, pre_norm, drop_rate, drop_rng
 
 def self_attention_sublayer(
     x: Tensor,
-    p: AttentionParams,
+    p: types.SimpleNamespace,
     heads: int,
     capture: list | None = None,
     pre_norm: bool = True,
@@ -251,7 +222,7 @@ def self_attention_sublayer(
 def cross_attention_sublayer(
     y: Tensor,
     memory: Tensor,
-    p: AttentionParams,
+    p: types.SimpleNamespace,
     heads: int,
     pre_norm: bool = True,
     drop_rate: float = 0.0,
@@ -265,7 +236,7 @@ def cross_attention_sublayer(
 
 def feedforward_sublayer(
     x: Tensor,
-    p: FeedforwardParams,
+    p: types.SimpleNamespace,
     pre_norm: bool = True,
     drop_rate: float = 0.0,
     drop_rng: np.random.Generator | None = None,

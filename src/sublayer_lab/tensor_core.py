@@ -9,7 +9,7 @@ Besides the primitive ops there are three fused ones, each a single tape
 node with a hand-written backward: ``attention`` (multi-head scaled
 dot-product attention with its four projections; self-attention projects
 Q, K and V in one GEMM), ``linear`` and ``linear_relu``. A tape owns its
-nodes and their outputs; a tensor refers back to its tape only weakly, so
+nodes and their outputs, and a tensor holds no reference to any tape, so
 dropping the tape frees a step's activations without a garbage-collector pass.
 
 ``backward`` consumes its tape: once a node's backward has run, the node is
@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-import weakref
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -89,17 +88,11 @@ __all__ = [
 class Tensor:
     """Dense float64 array plus an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "_tape")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._tape: "weakref.ref[Tape] | None" = None
-
-    @property
-    def tape(self) -> "Tape | None":
-        """The tape this tensor was recorded on, while that tape is alive."""
-        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -238,7 +231,6 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     tapes = _LOCAL.tapes
     tape = tapes[-1] if tapes else None
     if tape is not None:
-        out._tape = weakref.ref(tape)
         tape.nodes.append(_Node(out, inputs, backward_fn))
     return out
 
@@ -255,28 +247,26 @@ def _reduce_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate gradients of a scalar loss into the leaves it reaches.
 
-    Walks the tape in reverse creation order and consumes it: each node is
+    Walks ``tape`` in reverse creation order and consumes it: each node is
     replaced by a spent marker once its backward has run, which frees its
     saved arrays, and its output's ``.grad`` is cleared. Only leaves, tensors
     that no node on this tape produced, keep (and accumulate) a ``.grad``;
     leaves whose gradient is never reached are left untouched. A consumed
-    tape, or a loss recorded on another tape, raises ``ValueError``.
+    tape, or a loss that no node of this tape produced, raises ``ValueError``.
     Bit-for-bit deterministic.
     """
-    tape = tape if tape is not None else loss.tape
-    if tape is None:
-        raise ValueError("loss was not recorded on any tape")
-    if loss._tape is not None and loss._tape() is not tape:
-        raise ValueError("loss was recorded on another tape")
-    if loss.data.shape != ():
-        raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
     if tape._consumed:
         raise ValueError("tape was already consumed by backward")
-    tape._consumed = True
+    if loss.data.shape != ():
+        raise ValueError(f"backward root must be a scalar, got shape {loss.data.shape}")
     nodes = tape.nodes
+    # a training loss is the last node, so the scan from the end stops at once
+    if not any(node.output is loss for node in reversed(nodes)):
+        raise ValueError("loss was not recorded on this tape (it was recorded on another tape or on none)")
+    tape._consumed = True
     one = np.ones((), dtype=np.float64)
     loss.grad = one if loss.grad is None else loss.grad + one
     for i in range(len(nodes) - 1, -1, -1):

@@ -610,9 +610,9 @@ def test_a_distance_matrix_checks_each_dumps_rows_once(monkeypatch):
 def test_cost_blocks_leave_the_table_bitwise_unchanged(monkeypatch, cells_per_block):
     dumps = [random_dump(100 + i, s_count=2, heads=4, t=9, model_id=f"m{i}") for i in range(3)]
     whole = aa.distance_matrix(dumps).grand_means
-    costs = aa._cell_costs(dumps[0].probs, dumps[1].probs)
+    costs = aa._oriented_costs(aa._cdfs(dumps[0].probs), aa._cdfs(dumps[1].probs))
     monkeypatch.setattr(aa, "COST_FLOATS", cells_per_block * 4 * 4 * 9)  # 18 cells per pair
-    assert aa._cell_costs(dumps[0].probs, dumps[1].probs).tobytes() == costs.tobytes()
+    assert aa._oriented_costs(aa._cdfs(dumps[0].probs), aa._cdfs(dumps[1].probs)).tobytes() == costs.tobytes()
     assert aa.distance_matrix(dumps).grand_means.tobytes() == whole.tobytes()
 
 
@@ -660,7 +660,7 @@ COST_KINDS = [("full", "full"), ("full", "random"), ("random", "random"),
 def test_cell_costs_match_the_cumsum_of_differences(heads, t, kinds):
     a = cost_dump(50 + t, heads, t, kinds[0], model_id="a")
     b = cost_dump(60 + heads, heads, t, kinds[1], model_id="b")
-    cost = aa._cell_costs(a.probs, b.probs)
+    cost = aa._oriented_costs(aa._cdfs(a.probs), aa._cdfs(b.probs))
     ref = reference_cell_costs(a.probs, b.probs)
     assert cost.shape == ref.shape == (2 * t, heads, heads)
     # each cell is the reference or, in its canonical orientation, its transpose
@@ -677,7 +677,7 @@ def test_cell_costs_match_the_cumsum_of_differences(heads, t, kinds):
 def test_cell_costs_are_bitwise_emd_of_their_rows(heads, t, kinds):
     a = cost_dump(70 + t, heads, t, kinds[0], model_id="a")
     b = cost_dump(80 + heads, heads, t, kinds[1], model_id="b")
-    cost = aa._cell_costs(a.probs, b.probs)
+    cost = aa._oriented_costs(aa._cdfs(a.probs), aa._cdfs(b.probs))
     for i in range(a.s_count):
         for tok in range(t):
             emd = np.array(

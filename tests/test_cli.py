@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sublayer_lab import arch_dsl, attn_analysis, lm_harness
+from sublayer_lab import arch_dsl, attn_analysis, lm_harness, results
 from sublayer_lab.arch_dsl import parse_ordering
 from sublayer_lab.cli import main
 from sublayer_lab.model import ModelConfig, build_model, save_checkpoint
@@ -436,7 +436,7 @@ def _search_doc(out, tiny_corpus, **changes):
 
 
 def _budgeted_doc(out, tiny_corpus, **changes):
-    return _search_doc(out, tiny_corpus, **{"mode": "budgeted", "budget": 3, **changes})
+    return _search_doc(out, tiny_corpus, **{"mode": "budgeted", "budget": 3, "n_s": 0, "n_f": 0, **changes})
 
 
 def _sweep_doc(out, tiny_corpus, **changes):
@@ -450,7 +450,7 @@ def _sweep_doc(out, tiny_corpus, **changes):
     "first, rerun, fields",
     [
         (("search", _search_doc), ("search", _search_doc, {"master_seed": 99, "trials": 3}), ["master_seed"]),
-        (("search", _search_doc), ("search", _search_doc, {"mode": "budgeted", "budget": 3, "master_seed": 5}),
+        (("search", _search_doc), ("search", _budgeted_doc, {"master_seed": 5}),
          ["mode", "master_seed", "budget", "n_f", "n_s"]),
         (("sweep", _sweep_doc), ("sweep", _sweep_doc, {"n": 3, "k_values": [0, 1]}), ["sweep_n", "k_values"]),
         (("sweep", _sweep_doc), ("search", _search_doc, {}), ["mode", "n_s", "n_f", "k_values", "sweep_n"]),
@@ -615,8 +615,8 @@ def _results_with(path, trials: int) -> None:
     """A results file holding a header and ``trials`` trial lines."""
     lines = [json.dumps({"v": 1, "kind": "header"})]
     for i in range(trials):
-        rec = lm_harness.TrialRecord.build("sfsf", -1, i, [(1, 2.0)], 1.5 + i, 10, 0.1, index=i)
-        lines.append(json.dumps(lm_harness.record_to_json_dict(rec)))
+        rec = results.TrialRecord.build("sfsf", -1, i, [(1, 2.0)], 1.5 + i, 10, 0.1, index=i)
+        lines.append(json.dumps(results.record_to_json_dict(rec)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -1092,7 +1092,16 @@ CONFIG_ERRORS = {
     "count_of_2**63": ("search", _search(mode="permutation", trials=2**63), "trials: must be <= 9223372036854775807"),
     "mode_grid": ("search", _search(mode="grid"), "mode: expected permutation|budgeted, got 'grid'"),
     "no_sublayers": ("search", _search(mode="permutation", n_s=0, n_f=0), "n_s: permutation mode needs n_s + n_f >= 1"),
-    "budget_0": ("search", _search(mode="budgeted", budget=0), "budget: budgeted mode needs budget >= 1"),
+    "budget_0": ("search", _search(mode="budgeted", budget=0, n_s=0, n_f=0), "budget: budgeted mode needs budget >= 1"),
+    "budget_in_permutation_mode": (
+        "search", _search(mode="permutation", budget=48), "budget: permutation mode takes no budget, got 48",
+    ),
+    "n_s_in_budgeted_mode": (
+        "search", _search(mode="budgeted", budget=3, n_f=0), "n_s: budgeted mode takes no n_s, got 1",
+    ),
+    "n_f_in_budgeted_mode": (
+        "search", _search(mode="budgeted", budget=3, n_s=0), "n_f: budgeted mode takes no n_f, got 1",
+    ),
     "capture_missing_checkpoint": (
         "capture", lambda p: {"checkpoint": p["missing"], "corpus": p["corpus"], "out": p["out"]},
         "checkpoint: file not found: ",
@@ -1103,6 +1112,10 @@ CONFIG_ERRORS = {
     ),
     "distance_missing_dump": (
         "distance", lambda p: {"dumps": [p["dump"], p["missing"]], "out": p["out"]}, "dumps: file not found: ",
+    ),
+    "analyze_halves_include_baselines_on_a_results_file": (
+        "analyze-halves", lambda p: {"records": p["records"], "include_baselines": True, "out": p["out"]},
+        "include_baselines: applies to bundled-tables only, not to a results file",
     ),
     "analyze_halves_missing_records": (
         "analyze-halves", lambda p: {"records": p["missing"], "out": p["out"]}, "records: file not found: ",

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from sublayer_lab import lm_harness as lm
+from sublayer_lab import results
 from sublayer_lab.arch_dsl import (
     OrderingSpec,
     load_table_records,
@@ -639,7 +640,7 @@ def test_failing_trial_cancels_the_queued_trials(tmp_path, monkeypatch):
         started.append(index_of[cfg.seed])
         if started[-1] == 0:
             raise RuntimeError("trial 0 failed")
-        return lm.TrialRecord.build(str(cfg.model.ordering), -1, cfg.seed, [], 1.0, 0, 0.0), None
+        return results.TrialRecord.build(str(cfg.model.ordering), -1, cfg.seed, [], 1.0, 0, 0.0), None
 
     monkeypatch.setattr(lm, "train_model", stub_train_model)
     with pytest.raises(RuntimeError, match="trial 0 failed"):
@@ -691,7 +692,7 @@ def test_a_failing_cohort_keeps_earlier_cohorts_and_a_rerun_resumes_there(tmp_pa
     with pytest.raises(RuntimeError, match="second trial failed"):
         lm.run_random_search(search, corpus)
     assert len(calls) == 2  # no third trial started
-    assert [r.index for r in lm.read_results(search.out_path)] == [0]
+    assert [r.index for r in results.read_results(search.out_path)] == [0]
     monkeypatch.setattr(lm, "train_model", real)
     lm.run_random_search(search, corpus)
     clean = lm.SearchConfig(**{**vars(search), "out_path": str(tmp_path / "clean.jsonl")})
@@ -760,16 +761,16 @@ def test_every_name_in_each_modules_all_exists():
 
 
 def test_record_json_round_trip():
-    rec = lm.TrialRecord.build(
+    rec = results.TrialRecord.build(
         ordering="sfsf", sandwich_k=2, seed=44, loss_curve=[(10, 2.5), (20, 2.1)],
         valid_nats=1.234, param_count=768, wall_clock_s=3.3, index=7,
     )
-    doc = lm.record_to_json_dict(rec)
-    back = lm.record_from_json_dict(json.loads(json.dumps(doc)))
+    doc = results.record_to_json_dict(rec)
+    back = results.record_from_json_dict(json.loads(json.dumps(doc)))
     assert back == rec
     doc["valid_bpc"] = 99.0
     with pytest.raises(ValueError):
-        lm.record_from_json_dict(doc)
+        results.record_from_json_dict(doc)
 
 
 def test_diverged_run_records_infinite_perplexity(bundled_corpus):
@@ -779,13 +780,13 @@ def test_diverged_run_records_infinite_perplexity(bundled_corpus):
     rec = lm.train_model(cfg, bundled_corpus)[0]
     assert math.isfinite(rec.valid_nats) and rec.valid_nats > 710.0  # exp overflows
     assert rec.valid_ppl == math.inf
-    back = lm.record_from_json_dict(json.loads(json.dumps(lm.record_to_json_dict(rec))))
+    back = results.record_from_json_dict(json.loads(json.dumps(results.record_to_json_dict(rec))))
     assert back == rec
     for nats, ppl in ((rec.valid_nats, 1e300), (1.0, math.inf)):
-        doc = lm.record_to_json_dict(rec)
+        doc = results.record_to_json_dict(rec)
         doc.update(valid_nats=nats, valid_bpc=nats / math.log(2.0), valid_ppl=ppl)
         with pytest.raises(ValueError, match="ppl inconsistent"):
-            lm.record_from_json_dict(doc)
+            results.record_from_json_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -798,19 +799,19 @@ def test_diverged_run_records_infinite_perplexity(bundled_corpus):
     ],
 )
 def test_record_nan_metrics_match_only_nan(nats, bpc, ppl, error):
-    rec = lm.TrialRecord.build(
+    rec = results.TrialRecord.build(
         ordering="sf", sandwich_k=-1, seed=0, loss_curve=[], valid_nats=1.0,
         param_count=768, wall_clock_s=0.0,
     )
-    doc = lm.record_to_json_dict(rec)
+    doc = results.record_to_json_dict(rec)
     doc.update(valid_nats=nats, valid_bpc=bpc, valid_ppl=ppl)
     doc = json.loads(json.dumps(doc))
     if error is None:
-        back = lm.record_from_json_dict(doc)
+        back = results.record_from_json_dict(doc)
         assert all(math.isnan(v) for v in (back.valid_nats, back.valid_bpc, back.valid_ppl))
     else:
         with pytest.raises(ValueError, match=error):
-            lm.record_from_json_dict(doc)
+            results.record_from_json_dict(doc)
 
 
 # -- half-split analysis -----------------------------------------------------------------
@@ -857,7 +858,7 @@ def fake_records(n=3):
     recs = []
     for i in range(n):
         recs.append(
-            lm.TrialRecord.build(
+            results.TrialRecord.build(
                 ordering=str(sandwich(4, i % 4)), sandwich_k=i % 4, seed=i,
                 loss_curve=[(10, 2.0)], valid_nats=1.0 + 0.1 * i,
                 param_count=768, wall_clock_s=1.0, index=i,
@@ -912,12 +913,13 @@ def test_encode_matches_per_character_lookup():
     corpus = lm.load_corpus_text("hello, world \U0001F600 \ud800 café\n" * 3, (0.5, 0.25, 0.25))
     text = "héllo \U0001F600\U0001F601 𐏿? \x00￿" + corpus.train_text
     unk = corpus.unknown_id
-    expected = [corpus.char_to_id.get(c, unk) for c in text]
+    char_to_id = {c: i for i, c in enumerate(corpus.charset)}
+    expected = [char_to_id.get(c, unk) for c in text]
     ids = corpus.encode(text)
     assert ids.dtype == np.int64 and ids.tolist() == expected
-    assert unk in expected and corpus.char_to_id["\U0001F600"] in expected
+    assert unk in expected and char_to_id["\U0001F600"] in expected
     assert corpus.encode("").shape == (0,)
-    assert corpus.train_ids.tolist() == [corpus.char_to_id[c] for c in corpus.train_text]
+    assert corpus.train_ids.tolist() == [char_to_id[c] for c in corpus.train_text]
 
 
 def _svg_coordinates(svg):
@@ -933,7 +935,7 @@ def _svg_coordinates(svg):
 @pytest.mark.parametrize("nats", [(1.2, 1.5, 800.0), (800.0, 900.0)])
 def test_render_svg_places_diverged_records_on_the_top_edge(nats):
     recs = [
-        lm.TrialRecord.build(
+        results.TrialRecord.build(
             ordering="sfsf", sandwich_k=-1, seed=i, loss_curve=[(10, 2.0)],
             valid_nats=n, param_count=768, wall_clock_s=1.0, index=i,
         )
@@ -954,7 +956,7 @@ def test_render_svg_places_diverged_records_on_the_top_edge(nats):
 
 def _results_file(tmp_path, edit=None):
     recs = [
-        lm.TrialRecord.build(
+        results.TrialRecord.build(
             ordering="sfsf", sandwich_k=-1, seed=i, loss_curve=[(10, 2.5)],
             valid_nats=1.0 + i, param_count=768, wall_clock_s=1.0, index=i,
         )
@@ -962,7 +964,7 @@ def _results_file(tmp_path, edit=None):
     ]
     lines = [json.dumps({"v": 1, "kind": "header", "mode": "permutation"})]
     for rec in recs:
-        doc = lm.record_to_json_dict(rec)
+        doc = results.record_to_json_dict(rec)
         if edit is not None and rec.index == 1:
             doc = edit(doc)
         lines.append(json.dumps(doc))
@@ -1011,7 +1013,7 @@ def _with(**fields):
 def test_read_results_fails_closed_naming_the_line(tmp_path, edit, message):
     path, _ = _results_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
-        lm.read_results(path)
+        results.read_results(path)
 
 
 @pytest.mark.parametrize("edited, line", [((0,), 1), ((0, 1, 2), 2)], ids=["header", "every_line"])
@@ -1022,24 +1024,24 @@ def test_read_results_rejects_a_file_of_another_format_version(tmp_path, edited,
         docs[i]["v"] = 99
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
     with pytest.raises(ValueError, match=f"results line {line}: format version 99, expected 1"):
-        lm.read_results(path)
+        results.read_results(path)
 
 
 def test_read_results_tolerates_a_truncated_final_line(tmp_path):
     path, recs = _results_file(tmp_path)
     full = path.read_text()
     path.write_text(full[: len(full) - 20])
-    assert lm.read_results(path) == recs[:1]
+    assert results.read_results(path) == recs[:1]
     path.write_text(full + '{"kind": "trial", "ind')
-    assert lm.read_results(path) == recs
+    assert results.read_results(path) == recs
     path.write_text(full + "[" * 100_000 + "\n")  # nested too deeply to parse: truncated
-    assert lm.read_results(path) == recs
+    assert results.read_results(path) == recs
 
 
 def test_record_from_json_dict_rejects_a_non_object():
     for doc in ([1, 2], None, "x"):
         with pytest.raises(ValueError, match="JSON object"):
-            lm.record_from_json_dict(doc)
+            results.record_from_json_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -1054,7 +1056,7 @@ def test_record_from_json_dict_rejects_a_non_object():
 def test_read_results_rejects_damage_mid_file(tmp_path, edit, message):
     path, _ = _results_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
-        lm.read_results(path)
+        results.read_results(path)
 
 
 def test_read_results_rejects_an_unparseable_line_before_the_last(tmp_path):
@@ -1063,12 +1065,12 @@ def test_read_results_rejects_an_unparseable_line_before_the_last(tmp_path):
     # the closing brace of a record removed: fatal mid-file, truncation at the end
     path.write_text(lines[0] + lines[1].replace("}\n", "\n") + lines[2])
     with pytest.raises(ValueError, match="line 2 does not parse and is not the last line"):
-        lm.read_results(path)
+        results.read_results(path)
     path.write_text(lines[0] + lines[1] + lines[2].replace("}\n", "\n"))
-    assert lm.read_results(path) == recs[:1]
+    assert results.read_results(path) == recs[:1]
     path.write_text("".join([lines[0], lines[0], *lines[1:]]))
     with pytest.raises(ValueError, match="line 2: a header may only be line 1"):
-        lm.read_results(path)
+        results.read_results(path)
 
 
 def test_read_results_rejects_a_trial_before_the_header(tmp_path):
@@ -1076,10 +1078,10 @@ def test_read_results_rejects_a_trial_before_the_header(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[1:]))
     with pytest.raises(ValueError, match="results line 1: a trial before the header"):
-        lm.read_results(path)
+        results.read_results(path)
     path.write_text("".join([lines[1], lines[0], lines[2]]))
     with pytest.raises(ValueError, match="results line 1: a trial before the header"):
-        lm.read_results(path)
+        results.read_results(path)
 
 
 def test_train_template_defaults_are_the_config_defaults():

@@ -11,8 +11,6 @@ import pytest
 from sublayer_lab.arch_dsl import OrderingSpec, parse_ordering, sandwich, sample_permutation
 from sublayer_lab import model as model_module
 from sublayer_lab.model import (
-    AttentionParams,
-    FeedforwardParams,
     ModelConfig,
     build_model,
     count_params,
@@ -51,13 +49,18 @@ def rand(*shape, seed=0):
 # -- construction ---------------------------------------------------------------
 
 
+ATTENTION_NAMES = ["wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo", "norm_gain", "norm_bias"]
+FEEDFORWARD_NAMES = ["w1", "b1", "w2", "b2", "norm_gain", "norm_bias"]
+
+
 def test_build_structure_follows_ordering():
     m = build_model(small_config("sf"), rng_seed=0)
-    assert isinstance(m.sublayers[0], AttentionParams)
-    assert isinstance(m.sublayers[1], FeedforwardParams)
+    assert [list(vars(p)) for p in m.sublayers] == [ATTENTION_NAMES, FEEDFORWARD_NAMES]
 
     m2 = build_model(small_config("ssfsfsff", d=16, heads=4), rng_seed=0)
-    kinds = ["s" if isinstance(p, AttentionParams) else "f" for p in m2.sublayers]
+    names = [list(vars(p)) for p in m2.sublayers]
+    assert all(n in (ATTENTION_NAMES, FEEDFORWARD_NAMES) for n in names)
+    kinds = ["f" if n == FEEDFORWARD_NAMES else "s" for n in names]
     assert "".join(kinds) == str(sandwich(4, 1))
 
 
@@ -539,9 +542,9 @@ def test_dropped_training_tape_is_freed_without_gc():
         with Tape() as tape:
             logits = forward(m, toks[:, :-1], dropout_rng=np.random.default_rng(0))
             loss = cross_entropy_loss(logits, toks[:, 1:])
+        assert tape.nodes[-1].output is loss
         backward(loss, tape)
         adam_step(m.parameters(), OptimizerState())
-        assert loss.tape is tape
         ref = weakref.ref(tape)
         del tape, loss, logits
         assert ref() is None

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sublayer_lab import _json
 from sublayer_lab import attn_analysis as aa
 from sublayer_lab import lm_harness as lm
+from sublayer_lab import results
 from sublayer_lab.arch_dsl import parse_ordering
 from sublayer_lab.model import (
     ModelConfig,
@@ -32,13 +33,13 @@ def _is_dump(dump):
 
 
 def _is_results(records):
-    return isinstance(records, list) and all(isinstance(r, lm.TrialRecord) for r in records)
+    return isinstance(records, list) and all(isinstance(r, results.TrialRecord) for r in records)
 
 
 READERS = {
     "checkpoint": (load_checkpoint, lambda m: isinstance(m, TransformerStack)),
     "dump": (aa.load_dump, _is_dump),
-    "results": (lm.read_results, _is_results),
+    "results": (results.read_results, _is_results),
 }
 
 
@@ -85,7 +86,7 @@ def test_every_truncation_is_read_or_rejected(kind, valid_files, scratch):
     accepted = [cut for cut in range(len(data) + 1) if read_or_reject(kind, data[:cut], scratch)]
     if kind == "results":  # a cut line is a killed run's tail: the records before it stand
         assert accepted == list(range(len(data) + 1))
-        assert len(lm.read_results(scratch)) == 2
+        assert len(results.read_results(scratch)) == 2
     elif kind == "dump":  # only the final newline may go
         assert accepted == [len(data) - 1, len(data)]
     else:
@@ -116,7 +117,7 @@ def test_damage_to_a_middle_results_line_never_drops_a_record(edit, valid_files,
     stop = edit.draw(st.integers(start + 1, len(first) - 1))  # the newline stays
     scratch.write_text(header + first[:start] + first[stop:] + second)
     try:
-        records = lm.read_results(scratch)
+        records = results.read_results(scratch)
     except ValueError:
         return
     assert len(records) == 2

@@ -244,7 +244,7 @@ def test_backward_requires_scalar_and_tape():
         backward(y, tape)
     z = Tensor(rand(3, seed=53))
     with pytest.raises(ValueError):
-        backward(z)  # never recorded
+        backward(z, Tape())  # never recorded
 
 
 def test_backward_leaves_unreachable_grads_untouched():
@@ -274,8 +274,12 @@ def test_backward_is_deterministic():
 
 def test_ops_outside_tape_do_not_record():
     x = Tensor(rand(3, seed=58))
-    y = mul(x, x)
-    assert y.tape is None
+    with Tape() as tape:
+        pass
+    loss = sum_all(mul(x, x))
+    assert tape.nodes == []
+    with pytest.raises(ValueError, match="or on none"):
+        backward(loss, tape)
 
 
 def test_composite_gradient():
@@ -494,8 +498,7 @@ def test_no_grad_blocks_recording():
         with no_grad():
             y = mul(x, x)
         z = sum_all(x)
-    assert y.tape is None
-    assert len(tape.nodes) == 1
+    assert [node.output for node in tape.nodes] == [z]
     backward(z, tape)
     assert np.array_equal(x.grad, np.ones(3))
 
@@ -876,9 +879,10 @@ def test_a_loss_from_another_tape_raises():
     assert not tape2._consumed and z.grad is None and x.grad is None
     backward(z, tape1)
     assert np.array_equal(x.grad, [2.0, 4.0])
-    leaf = Tensor(3.0)  # recorded on no tape: an explicit tape is still taken
-    backward(leaf, Tape())
-    assert leaf.grad == 1.0
+    leaf = Tensor(3.0)  # recorded on no tape
+    with pytest.raises(ValueError, match="recorded on another tape or on none"):
+        backward(leaf, Tape())
+    assert leaf.grad is None
 
 
 def _model_config(ordering="sfsf", d=16, context=8, **kw):
@@ -997,14 +1001,14 @@ def test_a_tape_open_in_one_thread_does_not_record_another_threads_ops():
 
     def other_thread():
         y = mul(Tensor([2.0]), Tensor([3.0]))
-        seen.append((list(tc._LOCAL.tapes), tc._LOCAL.pool, y.tape))
+        seen.append((list(tc._LOCAL.tapes), tc._LOCAL.pool, y.data.tolist()))
 
     with Tape() as tape:
         worker = threading.Thread(target=other_thread)
         worker.start()
         worker.join()
         assert tc._LOCAL.tapes == [tape]
-    assert seen == [([], None, None)] and tape.nodes == [] and tc._LOCAL.tapes == []
+    assert seen == [([], None, [6.0])] and tape.nodes == [] and tc._LOCAL.tapes == []
 
 
 # -- public surface ---------------------------------------------------------------------
