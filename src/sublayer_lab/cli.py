@@ -332,15 +332,17 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    sizes = ("n_s", "n_f") if args.mode == "permutation" else ("budget",)
+    flag = {"n_s": "--n-s", "n_f": "--n-f", "budget": "--budget"}
+    # the other mode's sizes would be ignored
+    unused = [flag[k] for k in flag if k not in sizes and getattr(args, k) is not None]
+    if unused:
+        raise UsageError(f"{args.mode} mode takes no {' or '.join(unused)}")
+    if any(getattr(args, k) is None for k in sizes):
+        raise UsageError(f"{args.mode} mode requires {' and '.join(flag[k] for k in sizes)}")
+    sampler = arch_dsl.sample_permutation if args.mode == "permutation" else arch_dsl.sample_budgeted
     try:
-        if args.mode == "permutation":
-            if args.n_s is None or args.n_f is None:
-                raise ValueError("permutation mode requires --n-s and --n-f")
-            spec = arch_dsl.sample_permutation(args.n_s, args.n_f, args.seed)
-        else:
-            if args.budget is None:
-                raise ValueError("budgeted mode requires --budget")
-            spec = arch_dsl.sample_budgeted(args.budget, args.seed)
+        spec = sampler(*(getattr(args, k) for k in sizes), args.seed)
     except ValueError as e:
         raise UsageError(str(e))
     print(spec)

@@ -9,15 +9,18 @@ the file's format is the ``results`` module's.
 Evaluation works in bounded memory: the NLL is summed per chunk of 64
 windows, and each chunk's forward runs in slices of windows sized so that one
 slice's widest activation fits ``EVAL_FLOATS``, with the same result bit for
-bit. The chunks are scored on one thread per CPU this process may run on,
-the caller among them (numpy's GEMMs and ufunc loops release the GIL), and
-their sums are added in chunk order, so the result is bitwise that of one
-thread; each thread keeps the per-slice bound, so memory in flight grows
-with the thread count, not with the stream. A documented ``ValueError`` is
-raised before any thread starts; an exception raised while scoring reaches
-the caller once every thread has joined, the lowest-indexed chunk's first.
-Search, sweep and ``train_model`` still run their trials and steps in the
-caller's thread.
+bit. The slices are the unit of work: with ``T = min(slices, CPUs this
+process may run on)`` threads, the caller among them (numpy's GEMMs and ufunc
+loops release the GIL), thread ``k`` scores slices ``k, k + T, ...`` of the
+stream. Once every thread has joined, each chunk's slice NLLs are summed as
+one array and the chunk sums added in chunk order, so the result is bitwise
+that of one thread. Each thread holds one slice of activations at a time;
+the slice NLLs, one float64 per target, are held until their chunk is
+summed, the size of the window array ``evaluate`` already builds. A
+documented ``ValueError`` is raised before any thread starts; an exception
+raised while scoring reaches the caller once every thread has joined, the
+lowest-indexed slice's first. Search, sweep and ``train_model`` still run
+their trials and steps in the caller's thread.
 
 Training runs its steps inside a ``tensor_core.buffer_pool()``, so each step
 reuses the activation and gradient buffers of the step before it; it leaves
@@ -28,6 +31,7 @@ itself never enters a pool.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -305,18 +309,22 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     slices of windows whose widest activation fits ``EVAL_FLOATS`` floats;
     the logits are bitwise those of one forward per chunk.
 
-    The chunks are spread over ``T = min(chunks, CPUs this process may run
-    on)`` threads, the caller being thread 0: thread ``k`` scores chunks
-    ``k, k + T, ...`` under its own ``no_grad()``. The chunk sums are added
-    in chunk order, so the result is bitwise that of one thread. Each thread
-    keeps the per-slice bound, so at most ``T`` slices are in memory at
-    once. A stream of one chunk starts no thread.
+    Every slice of the stream, in order, is one work item. They are spread
+    over ``T = min(slices, CPUs this process may run on)`` threads, the
+    caller being thread 0: thread ``k`` scores slices ``k, k + T, ...`` under
+    its own ``no_grad()``, so the threads' slice counts differ by at most
+    one. After the joins each chunk's slice NLLs are concatenated and
+    summed, and the chunk sums added in chunk order, so the result is
+    bitwise that of one thread. Each thread holds one slice of activations
+    at a time; the slice NLLs (one float64 per target, the size of the
+    window array) are kept until their chunk is summed. A stream of one
+    slice starts no thread.
 
     Raises ``ValueError`` before any work for a ``context`` outside
     ``[1, model.config.context]``, a stream of fewer than 2 characters, or a
     token id outside ``[0, vocab)``. Anything a thread raises while scoring
-    is raised here once every thread has joined; where several chunks
-    raise, the lowest-indexed chunk's exception wins.
+    is raised here once every thread has joined; where several slices
+    raise, the lowest-indexed slice's (so the lowest chunk's) exception wins.
     """
     cfg = model.config
     if not 1 <= context <= cfg.context:
@@ -333,16 +341,19 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     chunks = [full[off : off + 64] for off in range(0, n_full, 64)]
     if n_full * context + 1 < ids.size:
         chunks.append(ids[None, n_full * context :])
-    n_threads = min(len(chunks), _cpu_count())
-    scored: list = [None] * len(chunks)  # each chunk's NLL sum, or what scoring it raised
+    # every slice in stream order, with the index of its chunk
+    slices = [(i, w[j : j + step]) for i, w in enumerate(chunks) for j in range(0, len(w), step)]
+    n_threads = min(len(slices), _cpu_count())
+    scored: list = [None] * len(slices)  # each slice's target NLLs, or what scoring it raised
 
     def score(k: int) -> None:
         with no_grad():
-            for i in range(k, len(chunks), n_threads):
+            for s, (_, w) in itertools.islice(enumerate(slices), k, None, n_threads):
                 try:
-                    scored[i] = _chunk_nll(model, chunks[i], step)
+                    # under no_grad nothing else holds a forward's logits, so they are scored in place
+                    scored[s] = _target_nlls(forward(model, w[:, :-1]).data, w[:, 1:])
                 except BaseException as exc:  # raised by the caller, after the joins
-                    scored[i] = exc
+                    scored[s] = exc
                     return
 
     threads = []
@@ -355,12 +366,14 @@ def evaluate(model: TransformerStack, stream: np.ndarray, context: int) -> float
     finally:
         for t in threads:
             t.join()
+    # in slice order: a thread's unscored slices follow the one that raised
+    for nlls in scored:
+        if isinstance(nlls, BaseException):
+            raise nlls
     total_nll = 0.0
-    # in chunk order: a thread's unscored chunks follow the one that raised
-    for nll in scored:
-        if isinstance(nll, BaseException):
-            raise nll
-        total_nll += nll
+    # a chunk's slice NLLs summed as one array are bitwise its one forward's
+    for _, chunk in itertools.groupby(zip(slices, scored), key=lambda pair: pair[0][0]):
+        total_nll += float(np.concatenate([nlls for _, nlls in chunk]).sum())
     return total_nll / (ids.size - 1)
 
 
@@ -370,14 +383,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _chunk_nll(model: TransformerStack, w: np.ndarray, step: int) -> float:
-    """Summed NLL of the windows ``w``, forwarded in slices of ``step`` windows."""
-    # under no_grad nothing else holds a forward's logits, so each slice's are scored in place
-    slices = range(0, len(w), step)
-    nlls = [_target_nlls(forward(model, w[j : j + step, :-1]).data, w[j : j + step, 1:]) for j in slices]
-    return float(np.concatenate(nlls).sum())
 
 
 def _target_nlls(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -89,6 +89,21 @@ def test_sample_and_split(capsys):
     assert "bottom_s=4 bottom_f=0 top_s=0 top_f=2" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mode", "permutation", "--n-s", "2", "--n-f", "2", "--budget", "9"],
+         "error: permutation mode takes no --budget\n"),
+        (["--mode", "budgeted", "--n-s", "2", "--budget", "9"], "error: budgeted mode takes no --n-s\n"),
+        (["--mode", "budgeted", "--n-f", "0", "--budget", "9"], "error: budgeted mode takes no --n-f\n"),
+    ],
+    ids=["budget_in_permutation_mode", "n_s_in_budgeted_mode", "n_f_in_budgeted_mode"],
+)
+def test_sample_refuses_the_other_modes_sizes(capsys, argv, message):
+    assert main(["sample", *argv, "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 # -- config-driven commands ---------------------------------------------------------
 
 

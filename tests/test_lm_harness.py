@@ -319,6 +319,51 @@ def test_a_one_chunk_stream_starts_no_thread(monkeypatch):
     assert seen == [(threading.current_thread(), before)]
 
 
+def test_two_threads_score_targets_within_one_slice_of_each_other(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    stream = _chunked_stream(corpus, 6)  # four full chunks, a short chunk and a tail
+    expected = one_forward_per_chunk(model, stream, 5)
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
+    monkeypatch.setattr(lm, "EVAL_FLOATS", 8 * 5 * widest)  # slices of 8 windows
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 2)
+    targets = {}
+
+    def spied(model, tokens):
+        ident = threading.get_ident()
+        targets[ident] = targets.get(ident, 0) + tokens.size
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", spied)
+    assert lm.evaluate(model, stream, 5) == expected
+    # by chunks the threads would score 182 and 128 windows (and the tail)
+    assert len(targets) == 2 and sum(targets.values()) == stream.size - 1
+    assert abs(targets.popitem()[1] - targets.popitem()[1]) <= 8 * 5
+
+
+def test_a_stream_runs_on_as_many_threads_as_slices_when_cpus_are_more(monkeypatch):
+    corpus = lm.load_corpus_text(TINY_TEXT)
+    cfg = ModelConfig(d=8, heads=2, vocab=corpus.vocab_size, context=5,
+                      ordering=parse_ordering("sf"))
+    model = build_model(cfg, 4)
+    stream = corpus.train_ids[: 64 * 5 + 1]  # one chunk
+    expected = one_forward_per_chunk(model, stream, 5)
+    widest = max(3 * cfg.d, cfg.ffn_inner, cfg.heads * 5, cfg.vocab)
+    monkeypatch.setattr(lm, "EVAL_FLOATS", 22 * 5 * widest)  # slices of 22, 22 and 20 windows
+    monkeypatch.setattr(lm, "_cpu_count", lambda: 4)
+    names = []
+
+    def spied(model, tokens):
+        names.append(threading.current_thread().name)
+        return forward(model, tokens)
+
+    monkeypatch.setattr(lm, "forward", spied)
+    assert lm.evaluate(model, stream, 5) == expected
+    assert sorted(names) == sorted([threading.current_thread().name, "evaluate-1", "evaluate-2"])
+
+
 @pytest.mark.parametrize("per_slice, slices", [(64, 3), (7, 12)], ids=["one_slice_a_chunk", "several_slices_a_chunk"])
 def test_every_slice_is_scored_on_the_forwards_own_logits(monkeypatch, per_slice, slices):
     corpus = lm.load_corpus_text(TINY_TEXT)
